@@ -1,5 +1,6 @@
-// Ablations for the appendix-level design choices DESIGN.md calls out
-// (no single paper figure corresponds; the paper argues each in prose):
+// Ablations for appendix-level design choices, in modeled device time
+// (README, "Modeled device vs measured host"). No single paper figure
+// corresponds; the paper argues each in prose:
 //   §A.4  barrier insertion: improved (dependence-carrying loop) vs the
 //         conservative TVM-style placement (innermost node loop),
 //   §5.1  dense indexing of scratchpad intermediates (Fig. 5),

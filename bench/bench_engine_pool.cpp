@@ -2,7 +2,7 @@
 // count x batch size on the TreeLSTM treebank workload.
 //
 // Two views per configuration:
-//   - modeled serving latency (the repo's methodology, DESIGN.md §2): a
+//   - modeled serving latency (README, "Modeled device vs measured host"): a
 //     single engine's modeled end-to-end latency vs the pool's
 //     RunResult::pooled_latency_ns() — the slowest shard's modeled time
 //     (shards never outnumber workers, so each runs on its own). This is the

@@ -1,7 +1,8 @@
 // Microbenchmarks of the kernel substrate (the repo's "vendor BLAS"
 // stand-in that every framework calls) using google-benchmark: GEMM
-// (naive vs blocked), GEMV, fused elementwise chains, activations, and
-// the gather/scatter primitives the baselines use for contiguity.
+// (naive reference vs the register-blocked micro-kernel, square and at the
+// served panel shapes), GEMV, activations, and the row gather the batched
+// executor builds its panels with.
 
 #include <benchmark/benchmark.h>
 
@@ -36,7 +37,7 @@ void BM_GemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GemmBlocked(benchmark::State& state) {
+void BM_GemmSquare(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const auto a = random_vec(n * n, 1);
   const auto b = random_vec(n * n, 2);
@@ -48,7 +49,43 @@ void BM_GemmBlocked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           kernels::gemm_flops(n, n, n));
 }
-BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmSquare)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// The served panel GEMM: C[rows, 256] = In[rows, 256] @ W^T for a 256 x 256
+// weight, at wavefront widths from batch-1 trees (1) through seqlstm
+// shards (11, 19) to offline batches (1100). Arg 1 selects W packed once
+// into column panels (the batched executor's kMatVec path) or W^T
+// row-major (gemm, as kMatStack2 and matmul call it). Items are flops.
+void BM_GemmPanel(benchmark::State& state) {
+  const std::int64_t rows = state.range(0);
+  const bool packed = state.range(1) != 0;
+  const std::int64_t h = 256;
+  const auto in = random_vec(rows * h, 1);
+  const auto w = random_vec(h * h, 2);
+  std::vector<float> b(static_cast<std::size_t>(
+      packed ? kernels::packed_weight_size(h, h) : h * h));
+  if (packed) {
+    kernels::pack_weight_panels(w.data(), b.data(), h, h);
+  } else {
+    for (std::int64_t j = 0; j < h; ++j)
+      for (std::int64_t p = 0; p < h; ++p)
+        b[static_cast<std::size_t>(p * h + j)] =
+            w[static_cast<std::size_t>(j * h + p)];
+  }
+  std::vector<float> c(static_cast<std::size_t>(rows * h));
+  for (auto _ : state) {
+    if (packed)
+      kernels::gemm_packed(in.data(), b.data(), c.data(), rows, h, h);
+    else
+      kernels::gemm(in.data(), b.data(), c.data(), rows, h, h);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          kernels::gemm_flops(rows, h, h));
+}
+BENCHMARK(BM_GemmPanel)
+    ->ArgNames({"rows", "packed"})
+    ->ArgsProduct({{1, 11, 19, 64, 1100}, {0, 1}});
 
 void BM_Gemv(benchmark::State& state) {
   const std::int64_t n = state.range(0);

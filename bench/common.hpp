@@ -2,7 +2,8 @@
 // Shared helpers for the paper-reproduction benchmark binaries: Table-2
 // workload construction, engine runners with iteration averaging, and
 // table formatting. Every bench binary prints the same rows/series its
-// paper table or figure reports (see DESIGN.md §4 and EXPERIMENTS.md).
+// paper table or figure reports, in modeled device time (README,
+// "Modeled device vs measured host").
 
 #include <algorithm>
 #include <cstdio>

@@ -4,7 +4,8 @@
 //   - synthetic 10x10 grid DAGs (DAG-RNN, after Shuai et al. 2015),
 //   - a synthetic Stanford-Sentiment-Treebank stand-in: random binarized
 //     parse trees whose sentence-length distribution matches SST statistics
-//     (mean ~19 tokens). See DESIGN.md §2 for the substitution rationale.
+//     (mean ~19 tokens). README, "Modeled device vs measured host",
+//     gives the substitution rationale.
 //   - sequences (chains) for the sequential LSTM/GRU comparison (Fig. 9).
 
 #include <cstdint>

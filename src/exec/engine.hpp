@@ -17,7 +17,8 @@
 //      panel GEMMs; CORTEX_BATCHED_GEMM=0 selects the per-node reference
 //      path, bit-identical by construction),
 //   3. accounts device cost on the virtual device model: kernel launches,
-//      off-chip traffic, barriers, per DESIGN.md §2's GPU substitution.
+//      off-chip traffic, barriers (README, "Modeled device vs measured
+//      host").
 
 #include <memory>
 #include <optional>
@@ -115,7 +116,7 @@ class CortexEngine {
   /// so plan-only engines never spawn threads.
   void ensure_pool();
   /// Lazily builds the batched executor on first batched run: its
-  /// transposed weight copies cost memory, so engines that never take the
+  /// packed weight copies cost memory, so engines that never take the
   /// batched path (CORTEX_BATCHED_GEMM=0, no dynamic batching, plan-only)
   /// never pay for it. Safe without locking for the same reason states_
   /// is: one engine is driven by one thread at a time. Deliberately NOT

@@ -758,10 +758,12 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
         CORTEX_CHECK(reg_width_[static_cast<std::size_t>(b.in_regs[0])] ==
                      b.k)
             << "kMatVec input register width != param cols for " << op.out;
-        // Transposed copy: the panel GEMM C = In @ W^T wants B = W^T laid
-        // out (k, m) so its inner loops stay unit-stride.
-        b.param_t = Tensor(Shape{b.k, op.width});
-        kernels::transpose(w.data(), b.param_t.data(), op.width, b.k);
+        // Packed once, straight from W: the panel GEMM C = In @ W^T reads
+        // B = W^T as the micro-kernel's contiguous NR-column panels.
+        b.packed =
+            Tensor(Shape{kernels::packed_weight_size(op.width, b.k)});
+        kernels::pack_weight_panels(w.data(), b.packed.data(), op.width,
+                                    b.k);
         break;
       }
       case CellOpKind::kMatStack2: {
@@ -887,10 +889,10 @@ void BatchedCellExecutor::run_ops(const std::vector<BatchedOp>& bops,
       }
       case CellOpKind::kMatVec: {
         // The whole panel in one GEMM: [rows, k] @ [k, m]. Accumulation
-        // order over k inside gemm matches gemv's, so every row is
+        // order over k inside gemm_packed matches gemv's, so every row is
         // bit-identical to the per-node matvec.
         const float* in = in_panel(b, 0);
-        kernels::gemm(in, b.param_t.data(), outp, rows, b.k, b.width);
+        kernels::gemm_packed(in, b.packed.data(), outp, rows, b.k, b.width);
         ++p.gemm_calls;
         break;
       }

@@ -218,8 +218,9 @@ class CellExecutor {
 /// batch of nodes at once instead of node by node. Child states and
 /// embedding rows are gathered into contiguous [rows, width] register
 /// panels, every kMatVec becomes ONE panel GEMM (In @ W^T with the weight
-/// pre-transposed; the k accumulation order inside kernels::gemm matches
-/// kernels::gemv, so outputs are bit-identical to per-node execution),
+/// packed into the micro-kernel's column panels at construction; the k
+/// accumulation order inside kernels::gemm_packed matches kernels::gemv,
+/// so outputs are bit-identical to per-node execution),
 /// and eltwise ops evaluate vectorized across the panel. Registers live
 /// in a flat, index-addressed arena — no string maps on the hot path.
 ///
@@ -278,7 +279,7 @@ class BatchedCellExecutor {
 
  private:
   /// One cell op, pre-lowered for panel execution: register names
-  /// resolved to arena indices, weights resolved (and transposed for
+  /// resolved to arena indices, weights resolved (and packed for
   /// kMatVec), eltwise compiled with param pointers pre-bound.
   struct BatchedOp {
     CellOpKind kind = CellOpKind::kEltwise;
@@ -289,7 +290,7 @@ class BatchedCellExecutor {
     std::int64_t offset = 0;
     float constant = 0.0f;
     Tensor param;       ///< kLeafEmbed table / kMatStack2 weight
-    Tensor param_t;     ///< kMatVec weight, transposed to (k, m)
+    Tensor packed;      ///< kMatVec weight (m, k) packed as W^T panels
     std::int64_t k = 0; ///< kMatVec reduction width
     CompiledEltwise compiled;
     std::vector<const float*> eparams;

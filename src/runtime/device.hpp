@@ -17,7 +17,8 @@
 // This mirrors the paper's own analysis: Table 6 explains the end-to-end
 // gaps via exactly these counters, and Appendix C uses the same roofline
 // reasoning. Parameters below are calibrated to published datasheet
-// numbers; DESIGN.md §2 documents the substitution.
+// numbers; README, "Modeled device vs measured host", documents the
+// substitution.
 
 #include <cstdint>
 #include <string>

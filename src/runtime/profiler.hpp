@@ -40,7 +40,7 @@ struct Profiler {
   /// Host wall time inside the numeric executor. Diagnostic only — not
   /// part of total_latency_ns(), because the host numerics stand in for
   /// the modeled device's work, which device_compute_ns already accounts
-  /// (DESIGN.md §2's GPU substitution).
+  /// (README, "Modeled device vs measured host").
   double numerics_host_ns = 0.0;
 
   // -- batched wavefront GEMMs (numeric executor) ----------------------------

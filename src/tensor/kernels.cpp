@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 namespace cortex::kernels {
 
@@ -17,57 +18,174 @@ void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
 
 namespace {
 
-// i-k-j loop order keeps B and C accesses unit-stride, which the compiler
-// auto-vectorizes; blocking on k keeps the B panel in L1/L2. The i loop is
-// register-tiled 4 rows at a time so each B row pulled from cache is used
-// four times, and the __restrict qualifiers let the unit-stride j loops
-// vectorize without runtime alias checks.
+// One register-blocked micro-kernel serves every GEMM entry point. It holds
+// an R x (P * NR) block of C in vector registers for the whole k loop
+// (R <= MR rows of A, P adjacent NR-column panels of B), broadcasting one A
+// element per row and loading NR contiguous B floats per panel per k step.
+// B is addressed as panels: column j0 + q * NR + j of row p lives at
+// b[q * panel_stride + p * ldb + j]. A pre-packed B ([n/NR][k][NR], see
+// pack_weight_panels) has ldb = NR and panel_stride = k * NR; a row-major
+// B[k, n] has ldb = n and panel_stride = NR.
 //
-// Numerics contract: for every output element, the k accumulation is a
-// single chain of multiply-adds in ascending p order — exactly gemv's
-// order — so a GEMM over a [rows, k] panel is bit-identical to rows
-// independent GEMVs. The batched wavefront executor relies on this.
-constexpr std::int64_t kBlockK = 64;
-constexpr std::int64_t kTileM = 4;
+// Numerics contract: every output element is one chain of separately
+// rounded multiplies and adds in ascending p order, starting from +0.0f —
+// exactly gemv's chain — so a GEMM over a [rows, k] panel is bit-identical
+// to rows independent GEMVs (the tree builds with -ffp-contract=off, so
+// no multiply-add is fused). gemm_acc adds the finished chain to C, as
+// gemv_acc does. The batched wavefront executor relies on this.
+//
+// The vector width and tile are fixed at compile time by the target: MR
+// rows x two vectors of columns, sized so the accumulators plus the B
+// vectors fit the register file (32 zmm, 16 ymm, 16 xmm).
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+constexpr int kMR = 6;
+#elif defined(__AVX__)
+constexpr int kVecBytes = 32;
+constexpr int kMR = 4;
+#else
+constexpr int kVecBytes = 16;
+constexpr int kMR = 4;
+#endif
+typedef float VecF __attribute__((vector_size(kVecBytes)));
+constexpr int kLanes = kVecBytes / static_cast<int>(sizeof(float));
+constexpr int kVecsPerPanel = 2;
+constexpr std::int64_t kNR = kLanes * kVecsPerPanel;
 
-void gemm_impl(const float* __restrict a, const float* __restrict b,
-               float* __restrict c, std::int64_t m, std::int64_t k,
-               std::int64_t n, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * m * n);
-  for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::int64_t p1 = std::min(p0 + kBlockK, k);
-    std::int64_t i = 0;
-    for (; i + kTileM <= m; i += kTileM) {
-      float* __restrict c0 = c + (i + 0) * n;
-      float* __restrict c1 = c + (i + 1) * n;
-      float* __restrict c2 = c + (i + 2) * n;
-      float* __restrict c3 = c + (i + 3) * n;
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const float a0 = a[(i + 0) * k + p];
-        const float a1 = a[(i + 1) * k + p];
-        const float a2 = a[(i + 2) * k + p];
-        const float a3 = a[(i + 3) * k + p];
-        const float* __restrict brow = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          c0[j] += a0 * brow[j];
-          c1[j] += a1 * brow[j];
-          c2[j] += a2 * brow[j];
-          c3[j] += a3 * brow[j];
-        }
-      }
+inline VecF load_vec(const float* p) {
+  VecF v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store_vec(float* p, VecF v) { std::memcpy(p, &v, sizeof v); }
+
+struct PanelB {
+  const float* b;
+  std::int64_t ldb;
+  std::int64_t panel_stride;
+};
+
+// C[0:R, 0:P*NR] (= / +=) A[0:R, 0:k] * B panels [0, P). Only the last
+// panel of a P == 1 call may be partial (cols < NR); the columns past
+// `cols` are computed from B's zero padding and never stored.
+template <int R, int P>
+void micro_tile(const float* __restrict a, std::int64_t k,
+                const float* __restrict b, std::int64_t ldb,
+                std::int64_t panel_stride, float* __restrict c,
+                std::int64_t ldc, std::int64_t cols, bool accumulate) {
+  constexpr int kV = P * kVecsPerPanel;
+  VecF acc[R][kV] = {};
+  for (std::int64_t p = 0; p < k; ++p) {
+    VecF bv[kV];
+    for (int q = 0; q < P; ++q)
+      for (int v = 0; v < kVecsPerPanel; ++v)
+        bv[q * kVecsPerPanel + v] =
+            load_vec(b + q * panel_stride + p * ldb + v * kLanes);
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * k + p];
+      for (int v = 0; v < kV; ++v) acc[r][v] += bv[v] * av;
     }
-    for (; i < m; ++i) {
-      float* __restrict crow = c + i * n;
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const float av = a[i * k + p];
-        const float* __restrict brow = b + p * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+  }
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * ldc;
+    if (cols == kNR) {
+      for (int v = 0; v < kV; ++v) {
+        VecF out = acc[r][v];
+        if (accumulate) out = load_vec(crow + v * kLanes) + out;
+        store_vec(crow + v * kLanes, out);
       }
+    } else {
+      float tile[kNR];
+      std::memcpy(tile, acc[r], sizeof tile);
+      for (std::int64_t j = 0; j < cols; ++j)
+        crow[j] = accumulate ? crow[j] + tile[j] : tile[j];
     }
   }
 }
 
+// A block of `rows` <= R rows of C across all n columns, dispatched down
+// to its compile-time row count. A block shorter than MR widens to P
+// panels at a time so it still keeps about 2 * MR accumulators in flight
+// (a single-row block over one panel would wait on add latency).
+template <int R>
+void row_block(std::int64_t rows, const float* a, std::int64_t k,
+               const PanelB& pb, float* c, std::int64_t ldc, std::int64_t n,
+               bool accumulate) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      row_block<R - 1>(rows, a, k, pb, c, ldc, n, accumulate);
+      return;
+    }
+  }
+  constexpr int P = kMR / R;
+  const std::int64_t full = n / kNR;
+  std::int64_t jp = 0;
+  if constexpr (P > 1) {
+    for (; jp + P <= full; jp += P)
+      micro_tile<R, P>(a, k, pb.b + jp * pb.panel_stride, pb.ldb,
+                       pb.panel_stride, c + jp * kNR, ldc, kNR, accumulate);
+  }
+  for (; jp * kNR < n; ++jp)
+    micro_tile<R, 1>(a, k, pb.b + jp * pb.panel_stride, pb.ldb,
+                     pb.panel_stride, c + jp * kNR, ldc,
+                     std::min(kNR, n - jp * kNR), accumulate);
+}
+
+// C[m, 0:n] over B's first ceil(n / NR) panels, one MR-row block at a time
+// (the block's A rows stay in L1 while B streams past).
+void gemm_panels(const float* a, const PanelB& pb, float* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n, std::int64_t ldc,
+                 bool accumulate) {
+  for (std::int64_t i = 0; i < m; i += kMR)
+    row_block<kMR>(std::min<std::int64_t>(kMR, m - i), a + i * k, k, pb,
+                   c + i * ldc, ldc, n, accumulate);
+}
+
+void gemm_impl(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n, bool accumulate) {
+  // Full panels straight from row-major B; the n % NR tail columns are
+  // copied into one zero-padded panel so the kernel never reads past a
+  // row of B.
+  const std::int64_t n_full = n - n % kNR;
+  gemm_panels(a, PanelB{b, n, kNR}, c, m, k, n_full, n, accumulate);
+  if (n_full == n) return;
+  std::vector<float> tail(static_cast<std::size_t>(k * kNR), 0.0f);
+  for (std::int64_t p = 0; p < k; ++p)
+    std::memcpy(tail.data() + p * kNR, b + p * n + n_full,
+                sizeof(float) * (n - n_full));
+  gemm_panels(a, PanelB{tail.data(), kNR, k * kNR}, c + n_full, m, k,
+              n - n_full, n, accumulate);
+}
+
 }  // namespace
+
+GemmTile gemm_tile() { return GemmTile{kMR, kNR}; }
+
+std::int64_t packed_weight_size(std::int64_t n, std::int64_t k) {
+  return (n + kNR - 1) / kNR * k * kNR;
+}
+
+void pack_weight_panels(const float* w, float* packed, std::int64_t n,
+                        std::int64_t k) {
+  for (std::int64_t col = 0; col < n; ++col) {
+    float* dst = packed + col / kNR * k * kNR + col % kNR;
+    const float* src = w + col * k;
+    for (std::int64_t p = 0; p < k; ++p) dst[p * kNR] = src[p];
+  }
+  // Zero the last panel's padding columns.
+  const std::int64_t pad0 = n % kNR;
+  if (pad0 == 0) return;
+  float* last = packed + n / kNR * k * kNR;
+  for (std::int64_t p = 0; p < k; ++p)
+    std::fill(last + p * kNR + pad0, last + (p + 1) * kNR, 0.0f);
+}
+
+void gemm_packed(const float* a, const float* packed, float* c,
+                 std::int64_t m, std::int64_t k, std::int64_t n) {
+  gemm_panels(a, PanelB{packed, kNR, k * kNR}, c, m, k, n, n,
+              /*accumulate=*/false);
+}
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n) {
@@ -151,11 +269,6 @@ void gather_rows_strided(const float* table, std::int64_t stride,
   for (std::int64_t r = 0; r < rows; ++r)
     std::memcpy(out + r * width, table + idx[r] * stride,
                 sizeof(float) * width);
-}
-
-void transpose(const float* a, float* out, std::int64_t m, std::int64_t k) {
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t p = 0; p < k; ++p) out[p * m + i] = a[i * k + p];
 }
 
 void scatter_rows(float* table, const std::int32_t* idx, const float* in,

@@ -1,10 +1,12 @@
 #pragma once
-// Kernel library: the "vendor BLAS" substitute every framework in this repo
-// calls into (see DESIGN.md §2). Raw-pointer kernels operate on contiguous
+// Kernel library: the host kernels every framework in this repo calls into,
+// standing in for the dense kernels Cortex generates (README, "Modeled
+// device vs measured host"). Raw-pointer kernels operate on contiguous
 // row-major buffers; Tensor-typed wrappers add shape checking.
 //
-// Two GEMM variants are provided: a naive reference (tests) and a
-// cache-blocked version (everything else).
+// Every GEMM entry point (gemm, gemm_acc, gemm_packed) runs one
+// register-blocked micro-kernel; gemm_naive is the triple-loop reference
+// the tests compare against.
 
 #include <cstdint>
 
@@ -20,13 +22,42 @@ namespace cortex::kernels {
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n);
 
-/// C[m,n] = A[m,k] * B[k,n]. Cache-blocked with unrolled inner loop.
+/// C[m,n] = A[m,k] * B[k,n] for row-major B. Each C element is gemv's
+/// ascending-k chain of separately rounded multiplies and adds from +0.0f,
+/// so row i of C is bit-identical to gemv(B^T, A row i).
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n);
 
-/// C[m,n] += A[m,k] * B[k,n].
+/// C[m,n] += A[m,k] * B[k,n]: the finished chain is added to C, as
+/// gemv_acc adds to y.
 void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
               std::int64_t k, std::int64_t n);
+
+/// The GEMM micro-kernel's register tile: `rows` (MR) rows of A by `cols`
+/// (NR) columns of B are held in vector registers for the whole k loop.
+/// Fixed at compile time by the target's vector width (AVX-512, AVX, else
+/// 16-byte vectors).
+struct GemmTile {
+  std::int64_t rows;
+  std::int64_t cols;
+};
+GemmTile gemm_tile();
+
+/// Floats pack_weight_panels writes for an [n, k] weight: ceil(n / NR)
+/// panels of k x NR.
+std::int64_t packed_weight_size(std::int64_t n, std::int64_t k);
+
+/// Packs B = W^T, for row-major W[n, k], into the micro-kernel's NR-column
+/// panels in one pass: packed[jp][p][j] = W[jp * NR + j][p]. Columns past n
+/// in the last panel are zero. `packed` holds packed_weight_size(n, k)
+/// floats.
+void pack_weight_panels(const float* w, float* packed, std::int64_t n,
+                        std::int64_t k);
+
+/// C[m,n] = A[m,k] * W^T for W packed by pack_weight_panels: the panel GEMM
+/// of a linear layer. Row i of C is bit-identical to gemv(W, A row i).
+void gemm_packed(const float* a, const float* packed, float* c,
+                 std::int64_t m, std::int64_t k, std::int64_t n);
 
 /// y[m] = A[m,k] * x[k].
 void gemv(const float* a, const float* x, float* y, std::int64_t m,
@@ -70,10 +101,6 @@ void gather_rows(const float* table, const std::int32_t* idx, float* out,
 void gather_rows_strided(const float* table, std::int64_t stride,
                          const std::int32_t* idx, float* out,
                          std::int64_t rows, std::int64_t width);
-
-/// out[k,m] = a^T for row-major a[m,k]. Used once at executor build time
-/// to lay weights out so panel GEMMs (C = In @ W^T) keep B unit-stride.
-void transpose(const float* a, float* out, std::int64_t m, std::int64_t k);
 
 /// Scatter rows: table[idx[r],:] = in[r,:] for r in [0,rows).
 void scatter_rows(float* table, const std::int32_t* idx, const float* in,

@@ -2,7 +2,7 @@
 // is the regression oracle — every node state must be bit-identical to
 // the panel-GEMM path across the model zoo, schedules, batch sizes and
 // thread counts. Plus the kernel-level contracts the executor is built
-// on (panel GEMM == per-row GEMV bitwise, strided gather, transpose,
+// on (panel GEMM == per-row GEMV bitwise, strided gather, weight packing,
 // vectorized eltwise == scalar eltwise), the profiler's panel counters,
 // and EnginePool parity with batching enabled.
 
@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -354,29 +355,51 @@ TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
 
 TEST(PanelKernels, PanelGemmBitIdenticalToPerRowGemv) {
   // The load-bearing numerics contract: C = In @ W^T computed by
-  // kernels::gemm (tiled microkernel) must equal per-row kernels::gemv
-  // bit for bit, for sizes exercising every tile/tail/k-block path.
+  // kernels::gemm_packed (the executor's kMatVec path, W packed once) and
+  // by kernels::gemm (W^T row-major) must equal per-row kernels::gemv bit
+  // for bit, at the served panel widths and at every row/column tail of
+  // the micro-kernel's register tile.
+  const kernels::GemmTile tile = kernels::gemm_tile();
   Rng rng(17);
   for (const auto [rows, k, m] :
        {std::array<std::int64_t, 3>{1, 3, 2},
-        std::array<std::int64_t, 3>{4, 16, 16},
-        std::array<std::int64_t, 3>{5, 64, 32},
+        std::array<std::int64_t, 3>{tile.rows - 1, 16, tile.cols + 1},
+        std::array<std::int64_t, 3>{tile.rows + 1, 64, tile.cols - 1},
         std::array<std::int64_t, 3>{13, 100, 7},
+        std::array<std::int64_t, 3>{11, 256, 256},
+        std::array<std::int64_t, 3>{19, 256, 256},
         std::array<std::int64_t, 3>{64, 256, 256}}) {
-    const Tensor in = Tensor::uniform(Shape{rows, k}, rng, -1.0f, 1.0f);
+    Tensor in = Tensor::uniform(Shape{rows, k}, rng, -1.0f, 1.0f);
     const Tensor w = Tensor::uniform(Shape{m, k}, rng, -1.0f, 1.0f);
+    // A zero input row: the chains must start from +0.0f, as gemv's does.
+    for (std::int64_t p = 0; p < k; ++p) in.row(0)[p] = -0.0f;
     Tensor wt(Shape{k, m});
-    kernels::transpose(w.data(), wt.data(), m, k);
+    for (std::int64_t j = 0; j < m; ++j)
+      for (std::int64_t p = 0; p < k; ++p) wt.row(p)[j] = w.row(j)[p];
+    Tensor packed(Shape{kernels::packed_weight_size(m, k)});
+    kernels::pack_weight_panels(w.data(), packed.data(), m, k);
 
     Tensor by_gemv(Shape{rows, m});
     for (std::int64_t r = 0; r < rows; ++r)
       kernels::gemv(w.data(), in.row(r), by_gemv.row(r), m, k);
     Tensor by_gemm(Shape{rows, m});
     kernels::gemm(in.data(), wt.data(), by_gemm.data(), rows, k, m);
+    Tensor by_packed(Shape{rows, m});
+    kernels::gemm_packed(in.data(), packed.data(), by_packed.data(), rows,
+                         k, m);
 
-    for (std::int64_t i = 0; i < rows * m; ++i)
-      ASSERT_EQ(by_gemm.data()[i], by_gemv.data()[i])
-          << "rows=" << rows << " k=" << k << " m=" << m << " elem " << i;
+    for (std::int64_t i = 0; i < rows * m; ++i) {
+      ASSERT_EQ(std::memcmp(by_gemm.data() + i, by_gemv.data() + i,
+                            sizeof(float)),
+                0)
+          << "gemm rows=" << rows << " k=" << k << " m=" << m << " elem "
+          << i;
+      ASSERT_EQ(std::memcmp(by_packed.data() + i, by_gemv.data() + i,
+                            sizeof(float)),
+                0)
+          << "gemm_packed rows=" << rows << " k=" << k << " m=" << m
+          << " elem " << i;
+    }
   }
 }
 
@@ -407,14 +430,24 @@ TEST(PanelKernels, GatherRowsStridedPullsColumnSlices) {
   EXPECT_EQ(out, (std::vector<float>{21, 22, 1, 2, 21, 22}));
 }
 
-TEST(PanelKernels, TransposeRoundTrips) {
+TEST(PanelKernels, PackWeightPanelsLayout) {
+  // packed[jp][p][j] = W[jp * NR + j][p], zero past W's last row.
+  const std::int64_t nr = kernels::gemm_tile().cols;
+  const std::int64_t n = nr + 3;
+  const std::int64_t k = 5;
   Rng rng(23);
-  const Tensor a = Tensor::uniform(Shape{3, 5}, rng);
-  Tensor t(Shape{5, 3});
-  kernels::transpose(a.data(), t.data(), 3, 5);
-  for (std::int64_t i = 0; i < 3; ++i)
-    for (std::int64_t p = 0; p < 5; ++p)
-      EXPECT_EQ(t.data()[p * 3 + i], a.data()[i * 5 + p]);
+  const Tensor w = Tensor::uniform(Shape{n, k}, rng);
+  ASSERT_EQ(kernels::packed_weight_size(n, k), 2 * k * nr);
+  std::vector<float> packed(static_cast<std::size_t>(2 * k * nr), -1.0f);
+  kernels::pack_weight_panels(w.data(), packed.data(), n, k);
+  for (std::int64_t jp = 0; jp < 2; ++jp)
+    for (std::int64_t p = 0; p < k; ++p)
+      for (std::int64_t j = 0; j < nr; ++j) {
+        const std::int64_t col = jp * nr + j;
+        EXPECT_EQ(packed[static_cast<std::size_t>((jp * k + p) * nr + j)],
+                  col < n ? w.row(col)[p] : 0.0f)
+            << "panel " << jp << " p " << p << " j " << j;
+      }
 }
 
 TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {

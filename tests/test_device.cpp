@@ -1,6 +1,7 @@
-// Device performance model (the GPU/CPU substitution of DESIGN.md §2):
-// roofline kernel timing, utilization clamping, weight-stream bandwidth,
-// launch/memcpy/barrier accounting, and the backend parameter sets.
+// Device performance model (the GPU/CPU substitution; README, "Modeled
+// device vs measured host"): roofline kernel timing, utilization clamping,
+// weight-stream bandwidth, launch/memcpy/barrier accounting, and the
+// backend parameter sets.
 
 #include <gtest/gtest.h>
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -120,6 +123,102 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128, 64, 128),
                       std::make_tuple(1, 256, 1),
                       std::make_tuple(33, 1, 65)));
+
+// -- GEMM micro-kernel contract: every entry point == per-row gemv ----------
+
+// Same bits, or both NaN: IEEE 754 leaves a NaN result's payload and sign
+// unspecified, and x86 picks them by operand order, which a compiler may
+// swap. Every other value, -0.0 and +-inf included, must match exactly.
+bool same_float(float x, float y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+// A [m,k] and W [n,k] uniform in [-1, 1], with special values planted in a
+// few rows and columns so most outputs stay finite: an all -0.0 A row (its
+// products are all zeros; the +0.0 chain start must turn them into +0.0),
+// +inf, -inf and NaN in A rows 1-3 and W rows 0-2.
+void fill_contract_operands(std::vector<float>& a, std::vector<float>& w,
+                            std::int64_t m, std::int64_t n, std::int64_t k,
+                            Rng& rng) {
+  a.resize(static_cast<std::size_t>(m * k));
+  w.resize(static_cast<std::size_t>(n * k));
+  rng.fill_uniform(a.data(), a.size(), -1.0f, 1.0f);
+  rng.fill_uniform(w.data(), w.size(), -1.0f, 1.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::fill(a.begin(), a.begin() + k, -0.0f);
+  if (m > 1) a[static_cast<std::size_t>(k + k / 2)] = inf;
+  if (m > 2) a[static_cast<std::size_t>(2 * k)] = nan;
+  if (m > 3) a[static_cast<std::size_t>(4 * k - 1)] = -inf;
+  w[static_cast<std::size_t>(k - 1)] = -0.0f;
+  if (n > 1) w[static_cast<std::size_t>(k)] = -inf;
+  if (n > 2) w[static_cast<std::size_t>(3 * k - 1)] = nan;
+}
+
+TEST(GemmContract, EveryEntryPointMatchesPerRowGemvBitForBit) {
+  const kernels::GemmTile tile = kernels::gemm_tile();
+  const std::int64_t mr = tile.rows;
+  const std::int64_t nr = tile.cols;
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 2 * mr + 1; ++m) ms.push_back(m);
+  ms.push_back(64);
+  Rng rng(29);
+  std::vector<float> a;
+  std::vector<float> w;
+  for (const std::int64_t k : {1, 7, 256})
+    for (const std::int64_t n : {std::int64_t{1}, nr - 1, nr, nr + 1,
+                                 std::int64_t{256}, std::int64_t{257}})
+      for (const std::int64_t m : ms) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " k=" << k << " n=" << n << " tile "
+                     << mr << "x" << nr);
+        fill_contract_operands(a, w, m, n, k, rng);
+        // B = W^T row-major for gemm/gemm_acc; W packed for gemm_packed.
+        std::vector<float> b(static_cast<std::size_t>(k * n));
+        for (std::int64_t j = 0; j < n; ++j)
+          for (std::int64_t p = 0; p < k; ++p)
+            b[static_cast<std::size_t>(p * n + j)] =
+                w[static_cast<std::size_t>(j * k + p)];
+        std::vector<float> packed(
+            static_cast<std::size_t>(kernels::packed_weight_size(n, k)));
+        kernels::pack_weight_panels(w.data(), packed.data(), n, k);
+        std::vector<float> c0(static_cast<std::size_t>(m * n));
+        rng.fill_uniform(c0.data(), c0.size(), -1.0f, 1.0f);
+        c0[0] = -0.0f;
+
+        std::vector<float> ref(c0.size());
+        std::vector<float> ref_acc = c0;
+        for (std::int64_t r = 0; r < m; ++r) {
+          kernels::gemv(w.data(), a.data() + r * k, ref.data() + r * n, n,
+                        k);
+          kernels::gemv_acc(w.data(), a.data() + r * k,
+                            ref_acc.data() + r * n, n, k);
+        }
+        std::vector<float> by_gemm(c0.size(), -1.0f);
+        kernels::gemm(a.data(), b.data(), by_gemm.data(), m, k, n);
+        std::vector<float> by_packed(c0.size(), -1.0f);
+        kernels::gemm_packed(a.data(), packed.data(), by_packed.data(), m,
+                             k, n);
+        std::vector<float> by_acc = c0;
+        kernels::gemm_acc(a.data(), b.data(), by_acc.data(), m, k, n);
+
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_TRUE(same_float(by_gemm[i], ref[i]))
+              << "gemm elem " << i << ": " << by_gemm[i] << " vs "
+              << ref[i];
+          ASSERT_TRUE(same_float(by_packed[i], ref[i]))
+              << "gemm_packed elem " << i << ": " << by_packed[i]
+              << " vs " << ref[i];
+          ASSERT_TRUE(same_float(by_acc[i], ref_acc[i]))
+              << "gemm_acc elem " << i << ": " << by_acc[i] << " vs "
+              << ref_acc[i];
+        }
+        // The planted -0.0 row's products are all zeros, so its finite
+        // column 0 must come out +0.0.
+        EXPECT_TRUE(same_float(by_packed[0], 0.0f)) << by_packed[0];
+      }
+}
 
 TEST(Kernels, GemvMatchesGemm) {
   const std::int64_t m = 37, k = 53;
