@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/common.hpp"
 #include "ds/generators.hpp"
 #include "exec/ilir_runner.hpp"
@@ -66,6 +68,11 @@ struct SchedCase {
   bool specialize;
   bool batching;
 };
+
+// Without a printer GoogleTest prints the raw bytes of the case, including
+// the address of `name`, which ASLR moves between runs. gtest_discover_tests
+// copies that text into the ctest test name, so print the case name.
+void PrintTo(const SchedCase& c, std::ostream* os) { *os << c.name; }
 
 class ScheduleParity : public ::testing::TestWithParam<SchedCase> {};
 

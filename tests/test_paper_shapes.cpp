@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/cavs_like.hpp"
 #include "baselines/common.hpp"
 #include "baselines/dynet_like.hpp"
@@ -115,8 +117,12 @@ TEST(PaperShapes, Table5BackendOrderingGpuIntelArm) {
 
   auto speedup = [&](const runtime::DeviceSpec& spec) {
     baselines::DynetEngine dynet(def, params, spec);
-    return dynet.run(batch).latency_ms() /
-           cortex_ms(def, params, batch, spec);
+    // Best of 5: graph construction and batching are measured host phases
+    // (~0.3 ms here), and one preemption inflates a single run tenfold.
+    double best = 1e30;
+    for (int i = 0; i < 5; ++i)
+      best = std::min(best, dynet.run(batch).latency_ms());
+    return best / cortex_ms(def, params, batch, spec);
   };
   const double s_gpu = speedup(gpu());
   const double s_intel = speedup(runtime::DeviceSpec::intel_cpu());
