@@ -6,11 +6,11 @@
 // into 8 panel GEMMs per step — the compute-dense form of dynamic
 // batching (Cortex §5 / Cavs' pull-compute-push, GRNN's fused steps).
 //
-// Acceptance (full-size runs): single-thread batched speedup >= 2x over
-// per-node at batch >= 64. Outputs must be bit-identical in every row;
-// a mismatch fails the binary.
-
-#include <cstdlib>
+// The per-node reference is an engine whose schedule turns dynamic
+// batching off: it walks the nodes serially through the per-node cell
+// executor. Acceptance (full-size runs): single-thread batched speedup
+// >= 2x over per-node at batch >= 64. Outputs must be bit-identical in
+// every row; a mismatch fails the binary.
 
 #include "common.hpp"
 
@@ -56,6 +56,10 @@ int main() {
   exec::CortexEngine engine(def, params, ra::Schedule{},
                             runtime::DeviceSpec::v100_gpu());
   engine.set_num_threads(1);
+  ra::Schedule per_node_schedule;
+  per_node_schedule.dynamic_batching = false;
+  exec::CortexEngine reference(def, params, per_node_schedule,
+                               runtime::DeviceSpec::v100_gpu());
 
   std::printf("%-8s %8s %14s %14s %10s %12s %10s\n", "batch", "nodes",
               "per-node (ms)", "batched (ms)", "speedup", "panel_gemms",
@@ -73,27 +77,20 @@ int main() {
     const linearizer::Linearized lin =
         linearizer::linearize_trees(raw, linearizer::LinearizerSpec{});
 
-    const auto states_snapshot = [&] {
+    const auto states_snapshot = [&](const exec::CortexEngine& e) {
       return std::vector<float>(
-          engine.last_states().data(),
-          engine.last_states().data() +
-              lin.num_nodes * def.cell.state_width);
+          e.last_states().data(),
+          e.last_states().data() + lin.num_nodes * def.cell.state_width);
     };
     runtime::RunResult per_node, batched;
-    double t_node = 0.0, t_batch = 0.0;
-    std::vector<float> per_node_states;
-    {
-      ::setenv("CORTEX_BATCHED_GEMM", "0", 1);
-      t_node = best_run_ms(engine, lin, iters, &per_node);
-      per_node_states = states_snapshot();
-      ::unsetenv("CORTEX_BATCHED_GEMM");
-    }
-    t_batch = best_run_ms(engine, lin, iters, &batched);
+    const double t_node = best_run_ms(reference, lin, iters, &per_node);
+    const double t_batch = best_run_ms(engine, lin, iters, &batched);
 
     // Every node state, not just the roots: a regression in an
     // intermediate wavefront must fail the gate too.
     const bool identical = batched.root_states == per_node.root_states &&
-                           states_snapshot() == per_node_states;
+                           states_snapshot(engine) ==
+                               states_snapshot(reference);
     all_identical = all_identical && identical;
     const double speedup = t_node / t_batch;
     if (!smoke && b >= 64 &&

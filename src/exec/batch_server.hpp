@@ -107,14 +107,12 @@ struct ServedResult {
 };
 
 struct BatchServerOptions {
-  /// Largest coalesced mini-batch. < 1 uses default_max_batch()
-  /// (CORTEX_SERVER_MAX_BATCH, else 32).
-  std::int64_t max_batch = 0;
+  /// Largest coalesced mini-batch; < 1 is clamped to 1.
+  std::int64_t max_batch = 32;
   /// Latency budget: how long a dispatcher waits for co-batchable
   /// requests after popping the first one. 0 = greedy (no added wait);
-  /// < 0 uses default_max_wait_us() (CORTEX_SERVER_MAX_WAIT_US, else
-  /// 1000).
-  std::int64_t max_wait_us = -1;
+  /// < 0 is clamped to 0.
+  std::int64_t max_wait_us = 1000;
   /// Bound of the admission queue (the backpressure knob).
   std::size_t queue_capacity = 1024;
   /// What submit() does when the queue is full.
@@ -135,11 +133,10 @@ struct BatchServerOptions {
   /// deterministic queue states, then call start().
   bool autostart = true;
   /// Times a batch that failed with cortex::TransientError is re-run
-  /// whole before falling back to bisection. < 0 uses
-  /// CORTEX_SERVER_RETRIES (default 1). Deterministic batch failures go
-  /// straight to bisection — re-running a poisoned batch whole can only
-  /// repeat the failure.
-  int dispatch_retries = -1;
+  /// whole before falling back to bisection; < 0 is clamped to 0.
+  /// Deterministic batch failures go straight to bisection — re-running
+  /// a poisoned batch whole can only repeat the failure.
+  int dispatch_retries = 1;
 };
 
 /// Point-in-time health snapshot (BatchServer::health). What a readiness
@@ -233,12 +230,6 @@ class BatchServer {
 
   const BatchServerOptions& options() const { return opts_; }
   EnginePool& pool() { return pool_; }
-
-  /// CORTEX_SERVER_MAX_BATCH when set to a positive integer, else 32.
-  /// Read per call so tests can vary it.
-  static std::int64_t default_max_batch();
-  /// CORTEX_SERVER_MAX_WAIT_US when set to a positive integer, else 1000.
-  static std::int64_t default_max_wait_us();
 
  private:
   struct Request {

@@ -12,10 +12,11 @@
 //   1. linearizes the input structures on the host CPU (§4.2, timed),
 //   2. executes the model numerics bottom-up over the linearized arrays
 //      (the exact semantics every baseline shares, so outputs are
-//      bit-comparable across frameworks) — by default with the batched
-//      wavefront executor (each dynamic batch's per-node GEMVs fused into
-//      panel GEMMs; CORTEX_BATCHED_GEMM=0 selects the per-node reference
-//      path, bit-identical by construction),
+//      bit-comparable across frameworks) — with the batched wavefront
+//      executor (each dynamic batch's per-node GEMVs fused into panel
+//      GEMMs) whenever the schedule batches dynamically and the cell
+//      supports panels, else with the per-node path; the two are
+//      bit-identical by construction,
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers (README, "Modeled device vs measured
 //      host").
@@ -56,10 +57,10 @@ class CortexEngine {
                                     double linearization_ns);
 
   /// Host threads the numeric wavefront executor uses. Defaults to
-  /// CORTEX_THREADS / hardware_concurrency (ThreadPool::default_num_threads)
-  /// on first use; n < 1 resets to that default. Outputs are bit-identical
-  /// at every thread count: nodes within a wavefront batch are independent
-  /// by construction and each writes only its own state row.
+  /// support::hardware_threads() on first use; n < 1 resets to that
+  /// default. Outputs are bit-identical at every thread count: nodes
+  /// within a wavefront batch are independent by construction and each
+  /// writes only its own state row.
   void set_num_threads(int n);
   int num_threads() const {
     return pool_ ? pool_->num_threads()
@@ -117,13 +118,13 @@ class CortexEngine {
   void ensure_pool();
   /// Lazily builds the batched executor on first batched run: its
   /// packed weight copies cost memory, so engines that never take the
-  /// batched path (CORTEX_BATCHED_GEMM=0, no dynamic batching, plan-only)
-  /// never pay for it. Safe without locking for the same reason states_
-  /// is: one engine is driven by one thread at a time. Deliberately NOT
-  /// part of the shared CompiledArtifacts: artifacts are weight-
-  /// independent by design (engines with different weights share one
-  /// cached plan), while this executor bakes in weight data — so pooled
-  /// workers each hold their own copy.
+  /// batched path (no dynamic batching, plan-only) never pay for it. Safe
+  /// without locking for the same reason states_ is: one engine is driven
+  /// by one thread at a time. Deliberately NOT part of the shared
+  /// CompiledArtifacts: artifacts are weight-independent by design
+  /// (engines with different weights share one cached plan), while this
+  /// executor bakes in weight data — so pooled workers each hold their
+  /// own copy.
   models::BatchedCellExecutor& batched_exec();
   void account_batched(const linearizer::Linearized& lin,
                        runtime::Device& device, Workspace& ws);

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "runtime/profiler.hpp"
-#include "support/env.hpp"
 #include "support/fault_injection.hpp"
 #include "support/logging.hpp"
+#include "support/thread_pool.hpp"
 
 namespace cortex::exec {
 
@@ -16,11 +16,6 @@ namespace {
 support::FaultSite g_fault_pool_worker("pool.worker");
 
 }  // namespace
-
-int EnginePool::default_num_workers() {
-  return support::env_positive_int("CORTEX_POOL_WORKERS",
-                                   support::hardware_threads());
-}
 
 std::vector<EnginePool::Shard> EnginePool::shard_plan(
     std::int64_t batch, int workers, std::int64_t min_shard_size) {
@@ -45,11 +40,10 @@ EnginePool::EnginePool(const models::ModelDef& def,
                        ra::Schedule schedule, runtime::DeviceSpec spec,
                        EnginePoolOptions opts)
     : def_(def), opts_(opts) {
-  if (opts_.workers < 1) opts_.workers = default_num_workers();
+  if (opts_.workers < 1) opts_.workers = support::hardware_threads();
   if (opts_.min_shard_size < 1) opts_.min_shard_size = 1;
   if (opts_.threads_per_worker < 1) opts_.threads_per_worker = 1;
-  if (opts_.transient_retries < 0)
-    opts_.transient_retries = support::env_positive_int("CORTEX_POOL_RETRIES", 2);
+  if (opts_.transient_retries < 0) opts_.transient_retries = 0;
   engines_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int w = 0; w < opts_.workers; ++w) {
     // Worker 0's construction compiles (or warm-hits the plan cache);

@@ -60,8 +60,7 @@
 namespace cortex::exec {
 
 struct EnginePoolOptions {
-  /// Worker engines. < 1 uses default_num_workers() (CORTEX_POOL_WORKERS
-  /// env, else hardware concurrency).
+  /// Worker engines. < 1 uses support::hardware_threads().
   int workers = 0;
   /// Size floor for shards: the batch is split into at most
   /// floor(batch / min_shard_size) shards (never more than `workers`), so
@@ -74,9 +73,9 @@ struct EnginePoolOptions {
   /// oversubscribe the host.
   int threads_per_worker = 1;
   /// Times a shard that failed with cortex::TransientError is re-run
-  /// (same worker, same inputs) before the error propagates. < 0 uses
-  /// CORTEX_POOL_RETRIES (default 2). Deterministic errors never retry.
-  int transient_retries = -1;
+  /// (same worker, same inputs) before the error propagates; < 0 is
+  /// clamped to 0. Deterministic errors never retry.
+  int transient_retries = 2;
 };
 
 /// Cumulative fault accounting for one pool (EnginePool::stats;
@@ -125,12 +124,6 @@ class EnginePool {
 
   /// Fault accounting since construction.
   PoolStats stats() const;
-
-  /// Pool size used when EnginePoolOptions::workers < 1:
-  /// CORTEX_POOL_WORKERS when set to a positive integer, else
-  /// std::thread::hardware_concurrency() (min 1). Reads the environment
-  /// on every call so tests can vary it.
-  static int default_num_workers();
 
   /// The deterministic sharding plan: contiguous slices covering
   /// [0, batch) exactly once, in order, sizes within 1 of each other, at

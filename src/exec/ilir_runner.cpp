@@ -1,7 +1,6 @@
 #include "exec/ilir_runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -37,31 +36,19 @@ IlirRun run_ilir(const ilir::Program& program,
   ilir::Evaluator ev(program, lin);
   ev.bind_structure();
 
-  // Storage strategy: one zero-filled arena with planner-assigned slot
-  // offsets, unless CORTEX_MEMPLAN=0 asks for the per-buffer allocator.
-  const MemoryPlan* plan = nullptr;
+  // Storage: one zero-filled arena with planner-assigned slot offsets.
   MemoryPlan local_plan;
-  if (memplan_enabled()) {
-    if (opts.plan != nullptr) {
-      plan = opts.plan;
-    } else {
-      local_plan = plan_memory(program);
-      plan = &local_plan;
-    }
-  }
-  ResolvedArena layout;
-  std::shared_ptr<float[]> arena;
-  if (plan != nullptr) {
-    layout = resolve_arena(*plan, scalars);
-    const std::int64_t elems = layout.arena_bytes / 4;
-    // Value-initialized: the single zero-fill every zero_init buffer
-    // relies on. Per-call allocation keeps concurrent runs independent.
-    arena = std::shared_ptr<float[]>(
-        new float[static_cast<std::size_t>(std::max<std::int64_t>(elems, 1))]());
-    run.arena_bytes = layout.arena_bytes;
-    run.sum_buffer_bytes = layout.sum_buffer_bytes;
-    run.buffers_reused = plan->buffers_reused;
-  }
+  if (opts.plan == nullptr) local_plan = plan_memory(program);
+  const MemoryPlan& plan = opts.plan != nullptr ? *opts.plan : local_plan;
+  const ResolvedArena layout = resolve_arena(plan, scalars);
+  // Value-initialized: the single zero-fill every zero_init buffer relies
+  // on. Per-call allocation keeps concurrent runs independent.
+  const std::int64_t elems = layout.arena_bytes / 4;
+  const std::shared_ptr<float[]> arena(
+      new float[static_cast<std::size_t>(std::max<std::int64_t>(elems, 1))]());
+  run.arena_bytes = layout.arena_bytes;
+  run.sum_buffer_bytes = layout.sum_buffer_bytes;
+  run.buffers_reused = plan.buffers_reused;
 
   for (const ilir::Buffer& b : program.buffers) {
     // Integer buffers are linearizer arrays (exec_order, batch_begin,
@@ -80,16 +67,16 @@ IlirRun run_ilir(const ilir::Program& program,
     dims.reserve(b.shape.size());
     for (const ra::Expr& e : b.shape) dims.push_back(eval_extent(e, scalars));
     Shape shape(dims);
-    const BufferPlanEntry* entry =
-        plan != nullptr ? plan->find(b.name) : nullptr;
+    const BufferPlanEntry* entry = plan.find(b.name);
     Tensor t;
     if (entry != nullptr) {
       const std::int64_t offset =
           layout.slot_offsets[static_cast<std::size_t>(entry->slot)];
       t = Tensor::view_into(std::move(shape), arena, offset / 4);
     } else {
-      // No plan entry: unplanned buffer (never written — an externally
-      // shaped placeholder with no parameter bound) or planner off.
+      // No plan entry: an unplanned buffer (never written — an externally
+      // shaped placeholder with no parameter bound), or every buffer when
+      // the caller passes an empty plan (the per-buffer oracle).
       t = Tensor::zeros(std::move(shape));
       const std::int64_t bytes = t.numel() * 4;
       run.arena_bytes += bytes;  // dedicated storage counts toward the
@@ -102,8 +89,6 @@ IlirRun run_ilir(const ilir::Program& program,
 
   // Execution: the JIT'd kernel when one is supplied and CORTEX_JIT is
   // on, over exactly the storage bound above; the interpreter otherwise.
-  // A plan-built kernel bakes arena slot indices, so it is only usable
-  // when this run resolved that arena (memplan on).
   bool ran_jit = false;
   // Degraded-plan recovery: with no kernel supplied but jit_refresh set,
   // ask the cache tolerantly. Inside a failed key's backoff window this is
@@ -113,12 +98,11 @@ IlirRun run_ilir(const ilir::Program& program,
   const JitKernel* jit = opts.jit;
   if (jit == nullptr && opts.jit_refresh && jit_enabled()) {
     JitTryResult r = JitCache::instance().try_get_or_build(
-        program, plan, opts.jit_refresh_plan_opts, opts.profiler);
+        program, &plan, opts.jit_refresh_plan_opts, opts.profiler);
     refreshed = r.kernel;
     jit = refreshed.get();
   }
-  if (jit != nullptr && jit_enabled() &&
-      (!jit->has_arena() || plan != nullptr)) {
+  if (jit != nullptr && jit_enabled()) {
     const JitKernel& kernel = *jit;
     std::vector<float*> param_table;
     param_table.reserve(kernel.params_order().size());
@@ -153,28 +137,6 @@ IlirRun run_ilir(const ilir::Program& program,
   if (!ran_jit) {
     ev.run();
     run.barriers = ev.barriers_executed();
-  }
-
-  if (ran_jit && jit_check_enabled()) {
-    // Differential oracle: re-run interpreted on fresh storage and demand
-    // bitwise equality of every buffer plus the barrier count.
-    IlirRunOptions oracle_opts = opts;
-    oracle_opts.jit = nullptr;
-    oracle_opts.jit_refresh = false;  // or the oracle re-acquires the kernel
-    oracle_opts.profiler = nullptr;
-    const IlirRun oracle = run_ilir(program, lin, params, oracle_opts);
-    CORTEX_CHECK(oracle.barriers == run.barriers)
-        << "JIT/interpreter barrier divergence: " << run.barriers << " vs "
-        << oracle.barriers;
-    for (auto& [name, tensor] : run.buffers) {
-      const Tensor& ref = oracle.at(name);
-      CORTEX_CHECK(tensor.numel() == ref.numel())
-          << "JIT/interpreter shape divergence in " << name;
-      CORTEX_CHECK(std::memcmp(tensor.data(), ref.data(),
-                               static_cast<std::size_t>(tensor.numel()) *
-                                   sizeof(float)) == 0)
-          << "JIT/interpreter bitwise divergence in buffer " << name;
-    }
   }
 
   if (opts.profiler != nullptr) {

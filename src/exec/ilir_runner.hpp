@@ -8,13 +8,14 @@
 // to end.
 //
 // Buffer storage comes from the static memory planner
-// (exec/memory_plan.hpp) by default: one zero-filled arena allocation
-// per run, each buffer a view at its precomputed slot offset, so buffers
-// with disjoint live ranges share bytes. Each call allocates its own
-// arena, so concurrent runs (EnginePool workers, ThreadPool shards)
-// never share storage. CORTEX_MEMPLAN=0 falls back to the historical
-// per-buffer Tensor::zeros allocator; both paths are bit-identical on
-// every buffer that is live at program exit.
+// (exec/memory_plan.hpp): one zero-filled arena allocation per run, each
+// buffer a view at its precomputed slot offset, so buffers with disjoint
+// live ranges share bytes. Each call allocates its own arena, so
+// concurrent runs (EnginePool workers, ThreadPool shards) never share
+// storage. A buffer the plan has no entry for gets its own
+// Tensor::zeros allocation, so passing an empty MemoryPlan yields the
+// per-buffer allocator the planner is tested against; both are
+// bit-identical on every buffer that is live at program exit.
 
 #include <map>
 #include <string>
@@ -43,7 +44,7 @@ struct IlirRun {
   std::int64_t barriers = 0;
 
   /// Bytes actually allocated for program buffers this run: the arena
-  /// size under the planner, the per-buffer sum under CORTEX_MEMPLAN=0.
+  /// size plus any unplanned buffers' own allocations.
   std::int64_t arena_bytes = 0;
   /// Sum of the individual buffer byte sizes (what per-buffer allocation
   /// would cost); arena_bytes / sum_buffer_bytes is the reuse ratio.
@@ -56,8 +57,8 @@ struct IlirRun {
 
 struct IlirRunOptions {
   /// Precomputed plan (e.g. Plan::ilir_memory from compile_artifacts).
-  /// When null and the planner is enabled, run_ilir plans the program
-  /// itself.
+  /// When null, run_ilir plans the program itself. An empty plan puts
+  /// every buffer in its own allocation.
   const MemoryPlan* plan = nullptr;
   /// When set, the run adds arena/reuse counters to this profiler.
   runtime::Profiler* profiler = nullptr;
@@ -65,10 +66,7 @@ struct IlirRunOptions {
   /// when CORTEX_JIT is on; the run dispatches to the kernel instead of
   /// the interpreter over the same buffer storage. A kernel built against
   /// a memory plan needs that plan here (the usual pairing from
-  /// compile_artifacts); under CORTEX_MEMPLAN=0 such a kernel is ignored
-  /// and the run falls back to interpretation. CORTEX_JIT_CHECK=1 runs
-  /// BOTH paths and requires bit-identical buffers and barrier counts
-  /// (the interpreter as differential oracle).
+  /// compile_artifacts).
   const JitKernel* jit = nullptr;
   /// Degraded-plan recovery: when `jit` is null, CORTEX_JIT is on, and
   /// this is set, the run asks the JitCache for the kernel tolerantly
@@ -77,8 +75,8 @@ struct IlirRunOptions {
   /// a failed key's window is open the ask costs one map lookup and the
   /// run interprets; once the toolchain recovers, the first ask past the
   /// window rebuilds the kernel and the run dispatches to it. Interpreted
-  /// and JIT'd runs are bit-identical (the oracle contract above), so
-  /// flipping between them mid-stream is invisible in results.
+  /// and JIT'd runs are bit-identical (exec/jit.hpp's oracle contract),
+  /// so flipping between them mid-stream is invisible in results.
   bool jit_refresh = false;
   /// MemoryPlanOptions the plan under `plan` was computed with (live-out
   /// set); needed by jit_refresh so the forced plan verification inside

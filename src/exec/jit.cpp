@@ -33,11 +33,6 @@ support::FaultSite g_fault_disk_write("jit.disk.write");
 support::FaultSite g_fault_disk_rename("jit.disk.rename");
 support::FaultSite g_fault_cache_read("cache.read");
 
-bool env_on(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 /// Flags every kernel is built with. -ffp-contract=off matches the
 /// tree-wide flag the bit-identity contract depends on (a fused
 /// multiply-add would change the interpreter/JIT comparison); -Werror on
@@ -402,9 +397,10 @@ void JitCache::set_retry_policy(JitRetryPolicy policy) {
   retry_policy_ = policy;
 }
 
-bool jit_enabled() { return env_on("CORTEX_JIT"); }
-
-bool jit_check_enabled() { return env_on("CORTEX_JIT_CHECK"); }
+bool jit_enabled() {
+  const char* v = std::getenv("CORTEX_JIT");
+  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+}
 
 std::string jit_compiler() {
   if (const char* cc = std::getenv("CORTEX_JIT_CC");

@@ -23,9 +23,9 @@
 // memory-plan verifier run on EVERY kernel build or disk reuse regardless
 // of CORTEX_ILIR_VERIFY — a dlopen'd kernel executes whatever the pass
 // pipeline emitted with no interpreter bounds checks, so it never runs
-// unverified IR. The interpreter stays the differential oracle:
-// CORTEX_JIT_CHECK=1 makes run_ilir execute both paths and require
-// bit-identical buffers and barrier counts.
+// unverified IR. The interpreter stays the differential oracle: the JIT
+// differential battery (tests/test_jit.cpp) requires bit-identical
+// buffers and barrier counts from both paths.
 //
 // Integrity: every published .so carries a sidecar (<lib>.sig) holding a
 // digest of the shared object's bytes. The disk-reuse path recomputes the
@@ -54,7 +54,6 @@
 //   CORTEX_JIT            non-empty and != "0": run_ilir dispatches to
 //                         the kernel and exec::compile_artifacts builds
 //                         kernels eagerly
-//   CORTEX_JIT_CHECK      also interpret and compare bitwise
 //   CORTEX_JIT_CACHE_DIR  artifact directory (default /tmp/cortex-jit-<uid>)
 //   CORTEX_JIT_CC         compiler command (default "cc")
 
@@ -237,9 +236,6 @@ class JitCache {
 
 /// CORTEX_JIT set, non-empty and != "0" (read per call).
 bool jit_enabled();
-/// CORTEX_JIT_CHECK set, non-empty and != "0": run_ilir also interprets
-/// and requires bitwise-identical results.
-bool jit_check_enabled();
 /// Compiler command: CORTEX_JIT_CC or "cc".
 std::string jit_compiler();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -463,11 +462,6 @@ support::Fingerprint fingerprint(const MemoryPlan& plan) {
   support::FingerprintBuilder fb;
   fingerprint(plan, fb);
   return fb.finish();
-}
-
-bool memplan_enabled() {
-  const char* v = std::getenv("CORTEX_MEMPLAN");
-  return v == nullptr || std::strcmp(v, "0") != 0;
 }
 
 }  // namespace cortex::exec

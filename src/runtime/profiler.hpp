@@ -46,8 +46,9 @@ struct Profiler {
   // -- batched wavefront GEMMs (numeric executor) ----------------------------
   /// Panel GEMMs the batched wavefront executor issued: each is one
   /// kMatVec cell op run as a single [rows,k]x[k,m] GEMM over a whole
-  /// wavefront panel instead of rows separate GEMVs. 0 when the batched
-  /// path is off (CORTEX_BATCHED_GEMM=0 or no dynamic batching).
+  /// wavefront panel instead of rows separate GEMVs. 0 when the run took
+  /// the per-node path (no dynamic batching, or a cell the panel
+  /// executor does not support).
   std::int64_t batched_gemm_calls = 0;
   /// Node panels the batched executor gathered and ran (one per
   /// contiguous row range per wavefront batch per worker thread).
@@ -69,9 +70,9 @@ struct Profiler {
 
   // -- ILIR arena (static memory planner) ------------------------------------
   /// Peak arena bytes one run_ilir allocation covered all program buffers
-  /// with (Fig. 12's peak-memory axis). 0 when no ILIR run was profiled
-  /// or the planner is off (CORTEX_MEMPLAN=0 falls back to per-buffer
-  /// allocation, where this instead records the summed buffer bytes).
+  /// with (Fig. 12's peak-memory axis). 0 when no ILIR run was profiled.
+  /// Buffers the plan has no entry for get dedicated storage, counted
+  /// here too.
   std::int64_t ilir_arena_bytes = 0;
   /// Buffers the plan placed into an already-occupied slot (bytes shared
   /// with a dead buffer instead of newly allocated).

@@ -2,14 +2,16 @@
 
 #include <algorithm>
 
-#include "support/env.hpp"
 #include "support/logging.hpp"
 
 namespace cortex::support {
 
-int ThreadPool::default_num_threads() {
-  return env_positive_int("CORTEX_THREADS", hardware_threads());
+int hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+int ThreadPool::default_num_threads() { return hardware_threads(); }
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(num_threads, 1)) {

@@ -21,6 +21,10 @@
 
 namespace cortex::support {
 
+/// std::thread::hardware_concurrency() with a floor of 1 (it reports 0
+/// when unknown): the default size of thread and worker pools.
+int hardware_threads();
+
 class ThreadPool {
  public:
   /// Function run by parallel_for: fn(worker, begin, end) processes the
@@ -44,9 +48,7 @@ class ThreadPool {
   /// remains usable. Not reentrant: one parallel_for at a time per pool.
   void parallel_for(std::int64_t n, const RangeFn& fn);
 
-  /// Pool size the engine uses by default: CORTEX_THREADS when set to a
-  /// positive integer, else std::thread::hardware_concurrency() (min 1).
-  /// Reads the environment on every call so tests can vary it.
+  /// Pool size the engine uses by default: hardware_threads().
   static int default_num_threads();
 
  private:

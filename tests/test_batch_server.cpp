@@ -6,13 +6,12 @@
 // serving semantics themselves: coalescing under the latency budget,
 // pass-through at max_batch=1, deadline expiry without occupying a batch
 // slot, backpressure (reject and block policies), shutdown draining,
-// structure-kind admission checks, DAG multi-sink demux, env-default
-// knobs, and metrics consistency. Runs in CI under ASan/UBSan and TSan
+// structure-kind admission checks, DAG multi-sink demux, option
+// defaults, and metrics consistency. Runs in CI under ASan/UBSan and TSan
 // via the `serving` ctest label.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -509,14 +508,12 @@ TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
   EXPECT_EQ(r1.root_states, expected[1]);
 }
 
-// -- env knobs ----------------------------------------------------------------
+// -- defaults -----------------------------------------------------------------
 
 TEST(BatchServerEnv, DefaultsComeFromEnvironment) {
-  ASSERT_EQ(setenv("CORTEX_SERVER_MAX_BATCH", "7", 1), 0);
-  ASSERT_EQ(setenv("CORTEX_SERVER_MAX_WAIT_US", "123", 1), 0);
-  EXPECT_EQ(BatchServer::default_max_batch(), 7);
-  EXPECT_EQ(BatchServer::default_max_wait_us(), 123);
-
+  // The name is historical: no environment variable feeds these options
+  // any more. A default-constructed server coalesces up to 32 requests,
+  // waits up to 1000 us, and re-runs a transiently failed batch once.
   const models::ModelDef def = models::make_treernn_fig1(8);
   Rng prng(13);
   const models::ModelParams params = models::init_params(def, prng);
@@ -524,14 +521,21 @@ TEST(BatchServerEnv, DefaultsComeFromEnvironment) {
                   EnginePoolOptions{1, 1, 1});
   BatchServerOptions opts;
   opts.autostart = false;
-  BatchServer server(pool, opts);  // max_batch / max_wait_us unset
-  EXPECT_EQ(server.options().max_batch, 7);
-  EXPECT_EQ(server.options().max_wait_us, 123);
+  BatchServer server(pool, opts);
+  EXPECT_EQ(server.options().max_batch, 32);
+  EXPECT_EQ(server.options().max_wait_us, 1000);
+  EXPECT_EQ(server.options().dispatch_retries, 1);
 
-  ASSERT_EQ(unsetenv("CORTEX_SERVER_MAX_BATCH"), 0);
-  ASSERT_EQ(unsetenv("CORTEX_SERVER_MAX_WAIT_US"), 0);
-  EXPECT_EQ(BatchServer::default_max_batch(), 32);
-  EXPECT_EQ(BatchServer::default_max_wait_us(), 1000);
+  // Out-of-range values clamp to the smallest valid setting.
+  BatchServerOptions low;
+  low.autostart = false;
+  low.max_batch = 0;
+  low.max_wait_us = -5;
+  low.dispatch_retries = -1;
+  BatchServer clamped(pool, low);
+  EXPECT_EQ(clamped.options().max_batch, 1);
+  EXPECT_EQ(clamped.options().max_wait_us, 0);
+  EXPECT_EQ(clamped.options().dispatch_retries, 0);
 }
 
 }  // namespace

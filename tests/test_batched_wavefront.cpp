@@ -1,18 +1,17 @@
-// Batched wavefront executor: the per-node path (CORTEX_BATCHED_GEMM=0)
-// is the regression oracle — every node state must be bit-identical to
-// the panel-GEMM path across the model zoo, schedules, batch sizes and
-// thread counts. Plus the kernel-level contracts the executor is built
-// on (panel GEMM == per-row GEMV bitwise, strided gather, weight packing,
-// vectorized eltwise == scalar eltwise), the profiler's panel counters,
-// and EnginePool parity with batching enabled.
+// Batched wavefront executor: the per-node path (an engine whose schedule
+// turns dynamic batching off) is the regression oracle — every node state
+// must be bit-identical to the panel-GEMM path across the model zoo,
+// schedules, batch sizes and thread counts. Plus the kernel-level
+// contracts the executor is built on (panel GEMM == per-row GEMV bitwise,
+// strided gather, weight packing, vectorized eltwise == scalar eltwise),
+// the profiler's panel counters, and EnginePool parity with batching
+// enabled.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "baselines/common.hpp"
@@ -27,33 +26,13 @@ namespace {
 
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 
-/// Scoped environment override restoring the previous value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      saved_ = old;
-    }
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
+/// `s` with dynamic batching off: an engine compiled under it walks the
+/// nodes serially through the per-node cell executor, the oracle the
+/// batched wavefront executor must match bit for bit.
+ra::Schedule per_node(ra::Schedule s) {
+  s.dynamic_batching = false;
+  return s;
+}
 
 linearizer::Linearized lin_for(const models::ModelDef& def,
                                std::int64_t batch, std::uint64_t seed) {
@@ -116,35 +95,27 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
 
   for (const ra::Schedule& sched : schedules_for(def)) {
     CortexEngine engine(def, params, sched, gpu());
+    CortexEngine reference(def, params, per_node(sched), gpu());
     for (const std::int64_t batch : {0, 1, 2, 5, 13}) {
       if (batch == 0) {
         // Empty mini-batch: both paths must return an empty result.
-        ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-        EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
+        EXPECT_TRUE(reference.run_linearized(linearizer::Linearized{}, 0.0)
                         .root_states.empty());
-        ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
         EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
                         .root_states.empty());
         continue;
       }
       const linearizer::Linearized lin =
           lin_for(def, batch, 101 + static_cast<std::uint64_t>(batch));
+      const runtime::RunResult ref = reference.run_linearized(lin, 0.0);
+      const std::vector<float> ref_states =
+          all_states(reference, lin, def.cell.state_width);
+      // The reference really takes the per-node path.
+      EXPECT_EQ(ref.profiler.batched_gemm_calls, 0);
+      EXPECT_EQ(ref.profiler.batched_panels, 0);
+      EXPECT_EQ(ref.profiler.max_panel_rows, 0);
       for (const int threads : {1, 4}) {
         engine.set_num_threads(threads);
-
-        runtime::RunResult ref;
-        std::vector<float> ref_states;
-        {
-          ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-          ref = engine.run_linearized(lin, 0.0);
-          ref_states = all_states(engine, lin, def.cell.state_width);
-          // The escape hatch really selects the per-node path.
-          EXPECT_EQ(ref.profiler.batched_gemm_calls, 0);
-          EXPECT_EQ(ref.profiler.batched_panels, 0);
-          EXPECT_EQ(ref.profiler.max_panel_rows, 0);
-        }
-
-        ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
         const runtime::RunResult batched = engine.run_linearized(lin, 0.0);
         const std::vector<float> batched_states =
             all_states(engine, lin, def.cell.state_width);
@@ -154,10 +125,6 @@ TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
         // Stronger than roots: every node state bit-identical.
         EXPECT_EQ(batched_states, ref_states)
             << def.name << " batch=" << batch << " threads=" << threads;
-        // Device accounting is independent of the host execution mode.
-        EXPECT_EQ(batched.profiler.kernel_launches,
-                  ref.profiler.kernel_launches);
-        EXPECT_EQ(batched.profiler.device_flops, ref.profiler.device_flops);
         if (engine.plan().dynamic_batching) {
           EXPECT_GT(batched.profiler.batched_panels, 0);
           EXPECT_LE(batched.profiler.max_panel_rows, lin.max_batch_length());
@@ -178,7 +145,6 @@ INSTANTIATE_TEST_SUITE_P(Zoo, BatchedZoo, ::testing::Range(0, 8));
 TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
   // One thread, homogeneous wavefronts: exactly one panel per dynamic
   // batch, and the plan's per-batch matvec counts pin the GEMM total.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   for (const auto& make :
        {+[] { return models::make_treelstm_embed(16); },
         +[] { return models::make_dagrnn(16); }}) {
@@ -202,7 +168,6 @@ TEST(BatchedProfile, SingleThreadCountsMatchPlanMetadata) {
 }
 
 TEST(BatchedProfile, PanelStatsResetBetweenRuns) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(9);
   const models::ModelParams params = models::init_params(def, rng);
@@ -220,7 +185,6 @@ TEST(BatchedProfile, PanelStatsResetBetweenRuns) {
 TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
   // A run that throws mid-wavefront leaves partial per-worker counters;
   // the next run must start from zero, not drain the leftovers.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(15);
   const models::ModelParams params = models::init_params(def, rng);
@@ -240,27 +204,17 @@ TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
             good.profiler.batched_gemm_calls);
   EXPECT_EQ(after.profiler.max_panel_rows, good.profiler.max_panel_rows);
   EXPECT_EQ(after.root_states, good.root_states);
-
-  // And a per-node run right after a batched one reports zeros, not the
-  // batched run's drained-but-stale counters.
-  ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-  const runtime::RunResult per_node = engine.run_linearized(lin, 0.0);
-  EXPECT_EQ(per_node.profiler.batched_panels, 0);
-  EXPECT_EQ(per_node.profiler.batched_gemm_calls, 0);
 }
 
 // -- non-dynamic-batching schedules never touch the batched path ------------------
 
 TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(11);
   const models::ModelParams params = models::init_params(def, rng);
   const linearizer::Linearized lin = lin_for(def, 4, 11);
 
-  ra::Schedule s;
-  s.dynamic_batching = false;
-  CortexEngine unbatched(def, params, s, gpu());
+  CortexEngine unbatched(def, params, per_node(ra::Schedule{}), gpu());
   const runtime::RunResult r = unbatched.run_linearized(lin, 0.0);
   EXPECT_EQ(r.profiler.batched_gemm_calls, 0);
   EXPECT_EQ(r.profiler.batched_panels, 0);
@@ -276,9 +230,9 @@ TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
 TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
   // An eltwise op reading a register WIDER than its output is legal for
   // per-node execution (it reads the first op.width elements) but has no
-  // panel layout. Engine construction must succeed — even with batching
-  // requested — and runs must take the per-node path.
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
+  // panel layout. Engine construction must succeed under a dynamic-
+  // batching schedule, and runs must take the per-node path — here its
+  // parallel branch, with wavefronts split across four threads.
   models::ModelDef def;
   def.name = "WideEltwiseCell";
   def.hidden = 8;
@@ -317,19 +271,20 @@ TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
   auto trees = ds::make_sst_like_batch(2, rng);
   const std::vector<const ds::Tree*> raw = baselines::raw(trees);
   CortexEngine engine(def, params, ra::Schedule{}, gpu());
+  engine.set_num_threads(4);
   const runtime::RunResult got = engine.run(raw);
   EXPECT_EQ(got.profiler.batched_panels, 0);
   EXPECT_EQ(got.profiler.batched_gemm_calls, 0);
+  EXPECT_GT(got.profiler.parallel_batches, 0);
 
-  ScopedEnv off("CORTEX_BATCHED_GEMM", "0");
-  const runtime::RunResult ref = engine.run(raw);
+  CortexEngine reference(def, params, per_node(ra::Schedule{}), gpu());
+  const runtime::RunResult ref = reference.run(raw);
   EXPECT_EQ(got.root_states, ref.root_states);
 }
 
 // -- engine pool parity with batching enabled -------------------------------------
 
 TEST(BatchedEnginePool, PoolMatchesSingleEngineWithBatchingOn) {
-  ScopedEnv on("CORTEX_BATCHED_GEMM", nullptr);
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(13);
   const models::ModelParams params = models::init_params(def, rng);

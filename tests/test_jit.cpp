@@ -3,8 +3,8 @@
 // every buffer, with the static verifier forced on), kernel sharing
 // through compile_artifacts, on-disk artifact persistence (a "second
 // process" — simulated by dropping the in-memory registry — reuses the
-// .so with zero compiles), stale-source rebuilds, toolchain-failure
-// surfacing, and the CORTEX_JIT_CHECK oracle mode.
+// .so with zero compiles), stale-source rebuilds and toolchain-failure
+// surfacing.
 
 #include <gtest/gtest.h>
 
@@ -204,29 +204,6 @@ TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
   const IlirRun jit_run = run_ilir(lm.program, lin, params, jit_opts);
   const IlirRun interp_run = run_ilir(lm.program, lin, params);
   expect_runs_bit_identical(jit_run, interp_run, "no-plan kernel");
-}
-
-TEST(JitDifferential, CheckModeRunsBothPathsAndAgrees) {
-  test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard check_env("CORTEX_JIT_CHECK");
-  jit_env.set("1");
-  check_env.set("1");
-  Rng rng(47);
-  const models::ModelDef def = models::make_treernn_fig1(16);
-  const models::ModelParams params = models::init_params(def, rng);
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  ASSERT_TRUE(a.jit != nullptr);
-  const linearizer::Linearized lin = linearize_for(def, *a.lowered, 3, rng);
-  IlirRunOptions opts;
-  opts.plan = a.plan.ilir_memory.get();
-  opts.jit = a.jit.get();
-  runtime::Profiler prof;
-  opts.profiler = &prof;
-  const IlirRun run = run_ilir(*a.optimized, lin, params, opts);
-  EXPECT_GT(run.barriers, 0);
-  EXPECT_EQ(prof.jit_runs, 1);
 }
 
 // -- caching ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // with the right diagnostic code), the zoo x schedule differential
 // battery (arena runs bit-identical to the per-buffer allocator), the
 // Fig. 9 SeqLSTM footprint-reduction bound, and engine/pool parity at
-// several thread/worker counts with the planner on and off.
+// several thread/worker counts.
 
 #include <gtest/gtest.h>
 
@@ -42,27 +42,6 @@ std::set<std::string> codes(const std::vector<Diagnostic>& diags) {
   for (const Diagnostic& d : diags) out.insert(d.code);
   return out;
 }
-
-/// Guard restoring CORTEX_MEMPLAN on scope exit.
-class MemplanEnv {
- public:
-  MemplanEnv() {
-    const char* v = std::getenv("CORTEX_MEMPLAN");
-    had_ = v != nullptr;
-    if (had_) saved_ = v;
-  }
-  ~MemplanEnv() {
-    if (had_)
-      setenv("CORTEX_MEMPLAN", saved_.c_str(), 1);
-    else
-      unsetenv("CORTEX_MEMPLAN");
-  }
-  static void set(bool on) { setenv("CORTEX_MEMPLAN", on ? "1" : "0", 1); }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 /// Miniature straight-line pipeline with a reusable producer/consumer
 /// chain and one zero-relying accumulator:
@@ -355,7 +334,11 @@ void expect_bit_identical(const Tensor& arena_out, const Tensor& plain_out,
 }
 
 TEST(MemPlanDifferential, ZooTimesSchedulesArenaMatchesPerBuffer) {
-  MemplanEnv guard;
+  // An empty plan has no entry for any buffer, so every buffer gets its
+  // own zeroed allocation: the per-buffer allocator the arena must match.
+  const MemoryPlan no_plan;
+  IlirRunOptions per_buffer;
+  per_buffer.plan = &no_plan;
   Rng rng(23);
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
@@ -373,9 +356,7 @@ TEST(MemPlanDifferential, ZooTimesSchedulesArenaMatchesPerBuffer) {
         auto trees = ds::make_sst_like_batch(3, rng);
         lin = linearizer::linearize_trees(baselines::raw(trees), lm.lin_spec);
       }
-      MemplanEnv::set(false);
-      const IlirRun plain = run_ilir(lm.program, lin, params);
-      MemplanEnv::set(true);
+      const IlirRun plain = run_ilir(lm.program, lin, params, per_buffer);
       const IlirRun arena = run_ilir(lm.program, lin, params);
       EXPECT_EQ(arena.barriers, plain.barriers);
       expect_bit_identical(arena.at(lm.output), plain.at(lm.output),
@@ -390,8 +371,6 @@ TEST(MemPlanDifferential, ZooTimesSchedulesArenaMatchesPerBuffer) {
 }
 
 TEST(MemPlanDifferential, PrecomputedPlanMatchesLocalPlanning) {
-  MemplanEnv guard;
-  MemplanEnv::set(true);
   Rng rng(29);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -413,8 +392,6 @@ TEST(MemPlanDifferential, PrecomputedPlanMatchesLocalPlanning) {
 }
 
 TEST(MemPlanDifferential, ProfilerRecordsArenaPeakAndReuse) {
-  MemplanEnv guard;
-  MemplanEnv::set(true);
   Rng rng(31);
   const models::ModelDef def = models::make_seq_lstm(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -441,8 +418,6 @@ TEST(MemPlanDifferential, ProfilerRecordsArenaPeakAndReuse) {
 // -- Fig. 9 SeqLSTM footprint bound --------------------------------------------
 
 TEST(MemPlanFootprint, SeqLstmArenaAtLeastThirtyPercentSmaller) {
-  MemplanEnv guard;
-  MemplanEnv::set(true);
   Rng rng(37);
   const models::ModelDef def = models::make_seq_lstm(64);
   const models::ModelParams params = models::init_params(def, rng);
@@ -464,7 +439,9 @@ TEST(MemPlanFootprint, SeqLstmArenaAtLeastThirtyPercentSmaller) {
 // -- engine / pool parity at thread and worker counts --------------------------
 
 TEST(MemPlanParity, EngineAndPoolBitIdenticalAcrossPlannerModes) {
-  MemplanEnv guard;
+  // run_ilir always plans, and CortexEngine never calls it, so there is
+  // no planner mode to vary here (the name is historical): the engine at
+  // 1 and 4 threads and the pool at 1 and 4 workers must agree bitwise.
   Rng rng(41);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -472,32 +449,23 @@ TEST(MemPlanParity, EngineAndPoolBitIdenticalAcrossPlannerModes) {
   const std::vector<const ds::Tree*> raw = baselines::raw(trees);
   const runtime::DeviceSpec spec = runtime::DeviceSpec::v100_gpu();
 
-  std::vector<std::vector<float>> reference;
-  bool first = true;
-  for (const bool planner_on : {false, true}) {
-    MemplanEnv::set(planner_on);
-    for (const int threads : {1, 4}) {
-      CortexEngine engine(def, params, ra::Schedule{}, spec);
-      engine.set_num_threads(threads);
-      const runtime::RunResult r = engine.run(raw);
-      SCOPED_TRACE("planner=" + std::to_string(planner_on) +
-                   " threads=" + std::to_string(threads));
-      if (first) {
-        reference.push_back(r.root_states[0]);
-        first = false;
-      }
-      ASSERT_FALSE(r.root_states.empty());
-      EXPECT_EQ(r.root_states[0], reference[0]);
-    }
-    for (const int workers : {1, 4}) {
-      EnginePool pool(def, params, ra::Schedule{}, spec,
-                      EnginePoolOptions{workers, 1, 1});
-      const runtime::RunResult r = pool.run(raw);
-      SCOPED_TRACE("planner=" + std::to_string(planner_on) +
-                   " workers=" + std::to_string(workers));
-      ASSERT_FALSE(r.root_states.empty());
-      EXPECT_EQ(r.root_states[0], reference[0]);
-    }
+  std::vector<float> reference;
+  for (const int threads : {1, 4}) {
+    CortexEngine engine(def, params, ra::Schedule{}, spec);
+    engine.set_num_threads(threads);
+    const runtime::RunResult r = engine.run(raw);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ASSERT_FALSE(r.root_states.empty());
+    if (reference.empty()) reference = r.root_states[0];
+    EXPECT_EQ(r.root_states[0], reference);
+  }
+  for (const int workers : {1, 4}) {
+    EnginePool pool(def, params, ra::Schedule{}, spec,
+                    EnginePoolOptions{workers, 1, 1});
+    const runtime::RunResult r = pool.run(raw);
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ASSERT_FALSE(r.root_states.empty());
+    EXPECT_EQ(r.root_states[0], reference);
   }
 }
 

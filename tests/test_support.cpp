@@ -1,15 +1,11 @@
-// Support utilities: deterministic RNG, the CHECK/throw machinery, the
-// warn-handler hook, and the env_positive_int knob parser (in particular
-// the PR 9 fix: clamping an over-cap value warns instead of silently
-// saturating at 1024).
+// Support utilities: deterministic RNG, the CHECK/throw machinery and the
+// warn-handler hook.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
-#include "support/env.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -108,46 +104,6 @@ TEST(Logging, WarnHandlerCanBeSwappedAndRestored) {
   support::warn("plumbing check");
   EXPECT_EQ(captured, "plumbing check");
   EXPECT_EQ(support::set_warn_handler(nullptr), &capture_warning);
-  g_captured_warning = nullptr;
-}
-
-TEST(Env, PositiveIntParsesAndFallsBack) {
-  ASSERT_EQ(setenv("CORTEX_TEST_KNOB", "17", 1), 0);
-  EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5), 17);
-  for (const char* garbage : {"", "abc", "-3", "0", "12x"}) {
-    ASSERT_EQ(setenv("CORTEX_TEST_KNOB", garbage, 1), 0);
-    EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5), 5)
-        << "value '" << garbage << "'";
-  }
-  ASSERT_EQ(unsetenv("CORTEX_TEST_KNOB"), 0);
-  EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5), 5);
-}
-
-TEST(Env, OverCapValueClampsLoudly) {
-  std::string captured;
-  g_captured_warning = &captured;
-  support::set_warn_handler(&capture_warning);
-
-  ASSERT_EQ(setenv("CORTEX_TEST_KNOB", "4096", 1), 0);
-  EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5),
-            support::kEnvPositiveIntCap);
-  // The warning names the knob, the offending value and the cap — enough
-  // for an operator to find and fix the setting.
-  EXPECT_NE(captured.find("CORTEX_TEST_KNOB"), std::string::npos);
-  EXPECT_NE(captured.find("4096"), std::string::npos);
-  EXPECT_NE(captured.find("1024"), std::string::npos);
-
-  // At or below the cap: no clamp, no warning.
-  captured.clear();
-  ASSERT_EQ(setenv("CORTEX_TEST_KNOB", "1024", 1), 0);
-  EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5), 1024);
-  EXPECT_EQ(captured, "");
-  ASSERT_EQ(setenv("CORTEX_TEST_KNOB", "1023", 1), 0);
-  EXPECT_EQ(support::env_positive_int("CORTEX_TEST_KNOB", 5), 1023);
-  EXPECT_EQ(captured, "");
-
-  ASSERT_EQ(unsetenv("CORTEX_TEST_KNOB"), 0);
-  support::set_warn_handler(nullptr);
   g_captured_warning = nullptr;
 }
 
