@@ -1,13 +1,15 @@
 // Microbenchmarks of the kernel substrate (the repo's "vendor BLAS"
 // stand-in that every framework calls) using google-benchmark: GEMM
 // (naive reference vs the register-blocked micro-kernel, square and at the
-// served panel shapes), GEMV, activations, and the row gather the batched
-// executor builds its panels with.
+// served panel shapes), the eltwise panels around them, GEMV, activations,
+// and the row gather the batched executor builds its panels with.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "models/cell.hpp"
+#include "ra/expr.hpp"
 #include "support/rng.hpp"
 #include "tensor/activations.hpp"
 #include "tensor/kernels.hpp"
@@ -86,6 +88,38 @@ void BM_GemmPanel(benchmark::State& state) {
 BENCHMARK(BM_GemmPanel)
     ->ArgNames({"rows", "packed"})
     ->ArgsProduct({{1, 11, 19, 64, 1100}, {0, 1}});
+
+// The eltwise panels around those GEMMs, as CompiledEltwise::eval_panel
+// runs them at hidden 256: arg 0 picks SeqLSTM's gate expression
+// sigmoid((e0+e1)+b[i]) or its hh expression e0*tanh(e1); arg 1 the panel
+// rows. Items are elements.
+void BM_EltwisePanel(benchmark::State& state) {
+  const bool gate = state.range(0) == 0;
+  const std::int64_t rows = state.range(1);
+  const std::int64_t h = 256;
+  const ra::Expr e0 = ra::var("e0");
+  const ra::Expr e1 = ra::var("e1");
+  const models::CompiledEltwise ce(
+      gate ? ra::call(ra::CallFn::kSigmoid,
+                      ra::add(ra::add(e0, e1),
+                              ra::load("b", {ra::var("i")})))
+           : ra::mul(e0, ra::call(ra::CallFn::kTanh, e1)));
+  const auto in0 = random_vec(rows * h, 1);
+  const auto in1 = random_vec(rows * h, 2);
+  const auto bias = random_vec(h, 3);
+  const float* ins[2] = {in0.data(), in1.data()};
+  const float* params[1] = {bias.data()};
+  std::vector<float> out(static_cast<std::size_t>(rows * h));
+  for (auto _ : state) {
+    ce.eval_panel(rows, h, ins, params, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * h);
+}
+BENCHMARK(BM_EltwisePanel)
+    ->ArgNames({"hh", "rows"})
+    ->ArgsProduct({{0, 1}, {1, 11, 64}});
 
 void BM_Gemv(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -569,19 +569,18 @@ class Emitter {
     os << "#include <math.h>\n";
     os << "#include <stdint.h>\n\n";
     // The evaluator's float semantics, inlined so the kernel is
-    // self-contained: rational tanh/sigmoid (tensor/activations.cpp) in
-    // float, relu and max/min in double with std::max/std::min operand
-    // order, integer max/min on int64.
+    // self-contained: rational tanh/sigmoid (tensor/activations.hpp,
+    // same branchless body) in float, relu and max/min in double with
+    // std::max/std::min operand order, integer max/min on int64.
     os << "static inline float cx_tanh_rational(float x) {\n"
-          "  if (x > 5.0f) return 1.0f;\n"
-          "  if (x < -5.0f) return -1.0f;\n"
           "  const float x2 = x * x;\n"
           "  const float num =\n"
           "      x * (135135.0f + x2 * (17325.0f + x2 * (378.0f + x2)));\n"
           "  const float den =\n"
           "      135135.0f + x2 * (62370.0f + x2 * (3150.0f + x2 * "
           "28.0f));\n"
-          "  return num / den;\n"
+          "  const float r = num / den;\n"
+          "  return x > 5.0f ? 1.0f : (x < -5.0f ? -1.0f : r);\n"
           "}\n"
           "static inline float cx_sigmoid_rational(float x) {\n"
           "  return 0.5f * (1.0f + cx_tanh_rational(0.5f * x));\n"

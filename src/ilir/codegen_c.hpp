@@ -13,7 +13,7 @@
 //   - comparisons compare as double, max/min follow std::max/std::min
 //     operand order, float literals are emitted as exact hexfloats,
 //   - tanh/sigmoid use the same rational approximations as
-//     tensor/activations.cpp, inlined into the source so the kernel has
+//     tensor/activations.hpp, inlined into the source so the kernel has
 //     no link-time dependencies beyond libm,
 //   - Sum reductions anywhere in an expression are hoisted into uniquely
 //     named double accumulator loops; a Sum inside an untaken select

@@ -8,24 +8,6 @@
 
 namespace cortex::models {
 
-std::int64_t CellOp::flops() const {
-  switch (kind) {
-    case CellOpKind::kMatVec:
-      // 2 * m * k; k is the input width which equals param cols.
-      return 0;  // computed by callers who know input widths; see below
-    default:
-      return 0;
-  }
-}
-
-std::int64_t CellOp::param_bytes(
-    const std::map<std::string, std::int64_t>& param_elems) const {
-  if (param.empty()) return 0;
-  auto it = param_elems.find(param);
-  if (it == param_elems.end()) return 0;
-  return it->second * static_cast<std::int64_t>(sizeof(float));
-}
-
 // ---------------------------------------------------------------------------
 // CompiledEltwise
 // ---------------------------------------------------------------------------
@@ -35,10 +17,10 @@ namespace {
 /// param-pointer table; enforced at compile() so eval can never overrun.
 constexpr std::int32_t kMaxStackDepth = 32;
 constexpr std::size_t kMaxEltParams = 8;
-/// Elements per interpreter strip in eval_panel (8 KiB of stack at max
-/// depth; long enough to amortize instruction dispatch, short enough to
-/// stay in L1).
-constexpr std::int64_t kEltStrip = 64;
+/// Elements per interpreter strip in eval_panel: one whole row at hidden
+/// 256, so each instruction's loop runs 256 wide between dispatches. At
+/// max depth the stack is 32 KiB, which still fits in L1.
+constexpr std::int64_t kEltStrip = 256;
 }  // namespace
 
 CompiledEltwise::CompiledEltwise(const ra::Expr& expr) {
@@ -594,7 +576,6 @@ void exec_op(const CellOp& op, const CompiledEltwise* compiled,
       break;
     }
   }
-  if (is_last) return;
 }
 
 }  // namespace

@@ -46,12 +46,6 @@ struct CellOp {
   /// kEltwise: scalar expression over vars "e0","e1",... (the inputs at
   /// element i) and loads of 1-D params indexed by var "i".
   ra::Expr expr;
-
-  /// Floating-point operations this op performs per node.
-  std::int64_t flops() const;
-  /// Bytes of weight data this op reads per invocation (0 if none).
-  std::int64_t param_bytes(const std::map<std::string,
-                                          std::int64_t>& param_elems) const;
 };
 
 /// A compiled elementwise expression: flat postfix program executed per

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -406,33 +407,70 @@ TEST(PanelKernels, PackWeightPanelsLayout) {
 }
 
 TEST(PanelEltwise, EvalPanelBitIdenticalToScalarEval) {
-  // sigmoid(e0 * e1 + b[i]) over a [rows, width] panel vs element by
-  // element — the vectorized interpreter must agree bit for bit,
-  // including across its strip boundary (width > 64).
-  const ra::Expr expr =
-      ra::call(ra::CallFn::kSigmoid,
-               ra::add(ra::mul(ra::var("e0"), ra::var("e1")),
-                       ra::load("b", {ra::var("i")})));
-  models::CompiledEltwise ce(expr);
-
-  const std::int64_t rows = 5, width = 100;
+  // Each expression over a [rows, width] panel vs element by element —
+  // the vectorized interpreter must agree bit for bit within a strip and
+  // across its boundary (width 300 > 256). Inputs mix in-range values
+  // with saturating ones (|x| > 5, where the rational tanh/sigmoid
+  // clamp), +-inf and NaN, NaN payloads compared too. Each element gets
+  // at most one special operand: where two NaNs meet (NaN + -NaN, or
+  // inf*0 + NaN), IEEE 754 leaves the result's sign and payload
+  // unspecified and x86 picks them by operand order, which the compiler
+  // may swap between the scalar and vector loops.
+  const auto e0 = ra::var("e0");
+  const auto e1 = ra::var("e1");
+  const auto b = ra::load("b", {ra::var("i")});
+  const std::vector<ra::Expr> exprs{
+      ra::call(ra::CallFn::kSigmoid, ra::add(ra::mul(e0, e1), b)),
+      ra::call(ra::CallFn::kSigmoid, ra::add(ra::add(e0, e1), b)),
+      ra::mul(e0, ra::call(ra::CallFn::kTanh, e1)),
+      ra::call(ra::CallFn::kTanh, ra::sub(e0, ra::div(e1, b))),
+      ra::call(ra::CallFn::kRelu, ra::add(e0, b)),
+      ra::select(e0, ra::call(ra::CallFn::kTanh, e1), b),
+      ra::binary(ra::BinOp::kMax, e0, ra::binary(ra::BinOp::kMin, e1, b)),
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::array<float, 8> specials{inf, -inf, nan, -nan,
+                                      0.0f, -0.0f, 5.0f, -5.0f};
   Rng rng(29);
-  const Tensor in0 = Tensor::uniform(Shape{rows, width}, rng, -2.0f, 2.0f);
-  const Tensor in1 = Tensor::uniform(Shape{rows, width}, rng, -2.0f, 2.0f);
-  const Tensor bias = Tensor::uniform(Shape{width}, rng, -2.0f, 2.0f);
+  // Uniform over [-12, 12], so many activation inputs fall outside
+  // [-5, 5]; the operand's special columns (i % 6 == phase) hold a random
+  // special value instead. Phases 0, 2, 4 keep the operands' specials in
+  // disjoint columns.
+  auto operand = [&](std::int64_t rows, std::int64_t width, int phase) {
+    Tensor t = Tensor::uniform(Shape{rows, width}, rng, -12.0f, 12.0f);
+    for (std::int64_t r = 0; r < rows; ++r)
+      for (std::int64_t i = phase; i < width; i += 6)
+        t.data()[r * width + i] = specials[static_cast<std::size_t>(
+            rng.next_below(specials.size()))];
+    return t;
+  };
+  auto same_bits = [](float x, float y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
 
-  const float* ins[2] = {in0.data(), in1.data()};
-  const float* params[1] = {bias.data()};
-  std::vector<float> panel(static_cast<std::size_t>(rows * width));
-  ce.eval_panel(rows, width, ins, params, panel.data());
-
-  for (std::int64_t r = 0; r < rows; ++r)
-    for (std::int64_t i = 0; i < width; ++i) {
-      const float* row_ins[2] = {in0.row(r), in1.row(r)};
-      ASSERT_EQ(panel[static_cast<std::size_t>(r * width + i)],
-                ce.eval(i, row_ins, params))
-          << "r=" << r << " i=" << i;
+  for (const std::int64_t width : {100, 256, 300}) {
+    const std::int64_t rows = 5;
+    const Tensor in0 = operand(rows, width, 0);
+    const Tensor in1 = operand(rows, width, 2);
+    const Tensor bias = operand(1, width, 4);
+    const float* ins[2] = {in0.data(), in1.data()};
+    const float* params[1] = {bias.data()};
+    for (std::size_t x = 0; x < exprs.size(); ++x) {
+      models::CompiledEltwise ce(exprs[x]);
+      std::vector<float> panel(static_cast<std::size_t>(rows * width));
+      ce.eval_panel(rows, width, ins, params, panel.data());
+      for (std::int64_t r = 0; r < rows; ++r)
+        for (std::int64_t i = 0; i < width; ++i) {
+          const float* row_ins[2] = {in0.data() + r * width,
+                                     in1.data() + r * width};
+          const float got = panel[static_cast<std::size_t>(r * width + i)];
+          ASSERT_TRUE(same_bits(got, ce.eval(i, row_ins, params)))
+              << "expr " << ra::to_string(exprs[x]) << " width=" << width
+              << " r=" << r << " i=" << i;
+        }
     }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <tuple>
@@ -362,6 +363,76 @@ TEST(Activations, VectorFormsMatchScalar) {
   kernels::relu_vec(in.data(), out.data(), 5);
   EXPECT_EQ(out[0], 0.0f);
   EXPECT_EQ(out[3], 0.7f);
+}
+
+// The early-return form tanh_rational had before it became branchless;
+// the inline header version must reproduce it bit for bit.
+float branchy_tanh(float x) {
+  if (x > 5.0f) return 1.0f;
+  if (x < -5.0f) return -1.0f;
+  const float x2 = x * x;
+  const float num = x * (135135.0f + x2 * (17325.0f + x2 * (378.0f + x2)));
+  const float den =
+      135135.0f + x2 * (62370.0f + x2 * (3150.0f + x2 * 28.0f));
+  return num / den;
+}
+
+float branchy_sigmoid(float x) {
+  return 0.5f * (1.0f + branchy_tanh(0.5f * x));
+}
+
+bool same_bits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+float from_bits(std::uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof(float));
+  return f;
+}
+
+TEST(Activations, RationalBitIdenticalToBranchyFormAtEdges) {
+  using lim = std::numeric_limits<float>;
+  const float inf = lim::infinity();
+  // ±0, ±inf, quiet and signalling NaNs with payloads, the smallest
+  // denormals and ±FLT_MAX.
+  std::vector<float> xs{0.0f,
+                        -0.0f,
+                        inf,
+                        -inf,
+                        lim::quiet_NaN(),
+                        -lim::quiet_NaN(),
+                        from_bits(0x7fa00001u),
+                        from_bits(0xffc12345u),
+                        lim::denorm_min(),
+                        -lim::denorm_min(),
+                        lim::max(),
+                        -lim::max()};
+  // The clamp boundaries ±5 (and ±10, sigmoid's, which halves x first)
+  // with their neighbours on both sides.
+  for (const float b : {5.0f, -5.0f, 10.0f, -10.0f})
+    for (const float x : {std::nextafter(b, -inf), b, std::nextafter(b, inf)})
+      xs.push_back(x);
+  for (const float x : xs) {
+    EXPECT_TRUE(same_bits(kernels::tanh_rational(x), branchy_tanh(x)))
+        << "tanh x=" << x;
+    EXPECT_TRUE(same_bits(kernels::sigmoid_rational(x), branchy_sigmoid(x)))
+        << "sigmoid x=" << x;
+  }
+}
+
+TEST(Activations, RationalBitIdenticalToBranchyFormOnBitPatternSweep) {
+  // Every 4096th bit pattern: 2^20 floats spanning both signs, every
+  // exponent, denormals, infinities and NaN payloads.
+  std::int64_t mismatches = 0;
+  for (std::uint64_t u = 0; u < (1ull << 32); u += 4096) {
+    const float x = from_bits(static_cast<std::uint32_t>(u));
+    if (!same_bits(kernels::tanh_rational(x), branchy_tanh(x)) ||
+        !same_bits(kernels::sigmoid_rational(x), branchy_sigmoid(x))) {
+      if (++mismatches <= 5) ADD_FAILURE() << "bits 0x" << std::hex << u;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Activations, ApplyActivationDispatch) {
