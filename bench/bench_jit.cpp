@@ -4,8 +4,8 @@
 // toolchain cost, and the warm-process / warm-disk cache behaviour
 // (a second process pays zero compiles — see exec/jit.hpp).
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common.hpp"
 #include "exec/ilir_runner.hpp"
@@ -45,7 +45,6 @@ int run() {
               static_cast<long long>(hidden), static_cast<long long>(seq_len));
   bench::print_rule();
 
-  setenv("CORTEX_JIT", "1", 1);
   const exec::MemoryPlanOptions mp_opts{{lm.output}, {}};
   const exec::MemoryPlan plan = exec::plan_memory(lm.program, mp_opts);
 
@@ -74,7 +73,6 @@ int run() {
   const exec::IlirRun jit_run = exec::run_ilir(lm.program, lin, params, jit_opts);
   const exec::IlirRun interp_run =
       exec::run_ilir(lm.program, lin, params, interp_opts);
-  unsetenv("CORTEX_JIT");
   // The envelope only carries honest numbers: both paths must agree
   // exactly before anything is timed.
   if (jit_run.barriers != interp_run.barriers ||
@@ -83,14 +81,12 @@ int run() {
     return 1;
   }
 
-  setenv("CORTEX_JIT", "1", 1);
   const double jit_ms = time_runs_ms(
       [&] { return exec::run_ilir(lm.program, lin, params, jit_opts); },
       iters);
   const double interp_ms = time_runs_ms(
       [&] { return exec::run_ilir(lm.program, lin, params, interp_opts); },
       iters);
-  unsetenv("CORTEX_JIT");
 
   std::printf("warm_run_ms jit=%.3f interpreter=%.3f speedup=%.1fx\n",
               jit_ms, interp_ms, interp_ms / jit_ms);

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Fails when the set of "CORTEX_*" environment variable names spelled as
-# string literals under src/ differs from the five the library reads:
+# string literals under src/ differs from the four the library reads:
 #   CORTEX_FAULTS         fault-injection spec (support/fault_injection)
 #   CORTEX_ILIR_VERIFY    ILIR static verifier after every pass
-#   CORTEX_JIT            dispatch run_ilir to JIT-compiled kernels
 #   CORTEX_JIT_CACHE_DIR  JIT artifact directory
 #   CORTEX_JIT_CC         JIT compiler command
 # Every other setting is an options-struct field or a constant. A new
@@ -15,7 +14,6 @@ cd "$(dirname "$0")/.."
 
 allowed='CORTEX_FAULTS
 CORTEX_ILIR_VERIFY
-CORTEX_JIT
 CORTEX_JIT_CACHE_DIR
 CORTEX_JIT_CC'
 

@@ -87,23 +87,10 @@ IlirRun run_ilir(const ilir::Program& program,
     ev.bind(b.name, ilir::Binding::tensor(it->second));
   }
 
-  // Execution: the JIT'd kernel when one is supplied and CORTEX_JIT is
-  // on, over exactly the storage bound above; the interpreter otherwise.
-  bool ran_jit = false;
-  // Degraded-plan recovery: with no kernel supplied but jit_refresh set,
-  // ask the cache tolerantly. Inside a failed key's backoff window this is
-  // one map lookup and the run interprets; past it, the build is retried
-  // and a recovered toolchain puts the kernel back in play.
-  JitKernelPtr refreshed;  // owns a refresh-acquired kernel for this run
-  const JitKernel* jit = opts.jit;
-  if (jit == nullptr && opts.jit_refresh && jit_enabled()) {
-    JitTryResult r = JitCache::instance().try_get_or_build(
-        program, &plan, opts.jit_refresh_plan_opts, opts.profiler);
-    refreshed = r.kernel;
-    jit = refreshed.get();
-  }
-  if (jit != nullptr && jit_enabled()) {
-    const JitKernel& kernel = *jit;
+  // Execution: the JIT'd kernel when the caller supplies one, over
+  // exactly the storage bound above; the interpreter otherwise.
+  if (opts.jit != nullptr) {
+    const JitKernel& kernel = *opts.jit;
     std::vector<float*> param_table;
     param_table.reserve(kernel.params_order().size());
     for (const std::string& name : kernel.params_order()) {
@@ -131,10 +118,8 @@ IlirRun run_ilir(const ilir::Program& program,
     kernel.fn()(arena.get(), layout.slot_offsets.data(), param_table.data(),
                 lin_table, scalar_table, counters);
     run.barriers = counters[0];
-    ran_jit = true;
     if (opts.profiler != nullptr) ++opts.profiler->jit_runs;
-  }
-  if (!ran_jit) {
+  } else {
     ev.run();
     run.barriers = ev.barriers_executed();
   }

@@ -149,16 +149,6 @@ struct ModelParams {
   std::int64_t elems(const std::string& name) const;
 };
 
-/// Executes one node's cell program natively (the shared numeric kernel
-/// used by all engines). `child_states` holds num_children pointers to
-/// state vectors (may be empty for leaves). Scratch registers are managed
-/// by the caller via `regs` (register name -> buffer of its width).
-void run_cell_node(const std::vector<CellOp>& ops, const ModelParams& params,
-                   const std::vector<const float*>& child_states,
-                   std::int32_t word,
-                   std::map<std::string, std::vector<float>>& regs,
-                   float* out_state, std::int64_t state_width);
-
 /// Pre-compiled eltwise cache for hot loops (keyed by op pointer).
 ///
 /// After construction the executor is read-only, so any number of threads
@@ -180,7 +170,9 @@ class CellExecutor {
 
   CellExecutor(const CellProgram& cell, const ModelParams& params);
 
-  /// As run_cell_node, but with preallocated registers + compiled eltwise.
+  /// Executes one node's cell program natively (the shared per-node
+  /// numeric kernel). `child_states` holds num_children pointers to state
+  /// vectors (may be empty for leaves).
   void run_node(bool leaf, const std::vector<const float*>& child_states,
                 std::int32_t word, float* out_state);
   /// Thread-safe variant: all mutable state lives in `scratch`.

@@ -1,12 +1,16 @@
 // Fault-sweep battery: every production injection site is forced to fire
-// during a mini-zoo x BatchServer differential run, and the stack must
-// absorb it — no crash, no hang, no broken promise, and every request
-// that is supposed to succeed returns root states bit-identical to a
-// fault-free run. JIT-site faults degrade plans to interpreter-only
-// (invisible in serving results: engine numerics never depended on the
-// kernel); transient pool/dispatch faults are retried; a persistent
-// transient fault fails requests cleanly (kError) and the server keeps
-// serving after the fault clears.
+// and the stack must absorb it. Serve-path sites (pool.worker,
+// server.dispatch) fire during a mini-zoo x BatchServer differential run:
+// no crash, no hang, no broken promise, and every request that is
+// supposed to succeed returns root states bit-identical to a fault-free
+// run; transient faults are retried, a persistent one fails requests
+// cleanly (kError) and the server keeps serving after it clears. The JIT
+// sites (jit.*, cache.read) sit only under JitCache::get_or_build, which
+// no engine, pool or server calls, so they are fired against the cache
+// directly: the armed build throws cleanly (or, for cache.read,
+// quarantines and recompiles) and the next build runs bit-identical to
+// the interpreter. ServingNeverInvokesTheToolchain pins that serving
+// stays off the toolchain.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -151,35 +156,17 @@ BatchServerOptions server_opts() {
   return o;
 }
 
-/// Resets every process-wide cache the sweep depends on, so each site
-/// iteration compiles from scratch and the armed site is actually on the
-/// executed path (warm hits would silently skip jit.cc / jit.disk.*).
-void reset_compile_state() {
-  PlanCache::instance().clear();
-  JitCache::instance().clear_memory();
-  JitCache::instance().clear_backoff();
-}
-
-/// One sweep iteration: fault-free reference (JIT off so no disk artifact
-/// can satisfy the faulted compile), then the armed serving run.
+/// One sweep iteration: fault-free reference, then the armed serving run.
 void sweep_site_over_zoo(
     const std::string& arm_spec, bool expect_all_ok,
     const std::function<void(const models::ModelDef&, BatchServer&)>&
         extra_checks = {}) {
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
   Rng prng(29);
   for (const models::ModelDef& def : mini_zoo()) {
     SCOPED_TRACE(arm_spec + " / " + def.name);
     const models::ModelParams params = models::init_params(def, prng);
     const Batch batch = make_batch(def, kRequests, 97);
 
-    // Fault-free reference, JIT off: engine numerics are identical with
-    // and without a kernel, and no artifact lands on disk that could let
-    // the faulted build skip its compile.
-    jit_env.set("0");
-    reset_compile_state();
     std::vector<std::vector<std::vector<float>>> ref;
     {
       EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
@@ -187,10 +174,6 @@ void sweep_site_over_zoo(
       ref = reference_slices(ref_pool, def, batch);
     }
 
-    // Armed run: compile fresh with JIT on so the jit.* sites sit on the
-    // executed path, then serve the same batch through a BatchServer.
-    jit_env.set("1");
-    reset_compile_state();
     FaultInjector::instance().configure(arm_spec);
     std::vector<ServedResult> results;
     {
@@ -226,83 +209,6 @@ void sweep_site_over_zoo(
       if (results[i].status == RequestStatus::kOk) {
         EXPECT_EQ(results[i].root_states, ref[i]) << "request " << i;
       }
-    }
-  }
-}
-
-// -- JIT compile/artifact faults: degrade to interpreter-only, serve on --
-
-TEST(FaultSweep, ToolchainFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.cc=*", /*expect_all_ok=*/true,
-                      [](const models::ModelDef&, BatchServer& server) {
-                        const ServerHealth h = server.health();
-                        EXPECT_TRUE(h.jit_degraded);
-                        EXPECT_TRUE(h.degraded);
-                      });
-}
-
-TEST(FaultSweep, DlopenFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.dlopen=*", /*expect_all_ok=*/true,
-                      [](const models::ModelDef&, BatchServer& server) {
-                        EXPECT_TRUE(server.health().jit_degraded);
-                      });
-}
-
-TEST(FaultSweep, DiskWriteFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.disk.write=*", /*expect_all_ok=*/true);
-}
-
-TEST(FaultSweep, DiskRenameFailureDegradesAndServesBitIdentical) {
-  sweep_site_over_zoo("jit.disk.rename=*", /*expect_all_ok=*/true);
-}
-
-TEST(FaultSweep, CorruptArtifactReadQuarantinesRecompilesAndServes) {
-  // cache.read only sits on the disk-reuse path, so an artifact must
-  // exist first: prebuild with faults off, drop the in-memory registry,
-  // then arm. The corrupt read fails the integrity check, the artifact is
-  // quarantined, and the recompile produces a working kernel — serving
-  // never degrades at all.
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
-  jit_env.set("1");
-  Rng prng(31);
-  for (const models::ModelDef& def : mini_zoo()) {
-    SCOPED_TRACE(def.name);
-    const models::ModelParams params = models::init_params(def, prng);
-    const Batch batch = make_batch(def, kRequests, 97);
-
-    reset_compile_state();
-    std::vector<std::vector<std::vector<float>>> ref;
-    {
-      // Prebuild: publishes cx_<digest>.{c,so,so.sig} and doubles as the
-      // fault-free reference.
-      EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
-      ref = reference_slices(pool, def, batch);
-    }
-
-    reset_compile_state();  // force the disk path on the next build
-    const JitStats before = JitCache::instance().stats();
-    FaultInjector::instance().configure("cache.read=*");
-    std::vector<ServedResult> results;
-    {
-      EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
-      BatchServer server(pool, server_opts());
-      results = serve_batch(server, batch);
-      EXPECT_FALSE(server.health().jit_degraded);
-      EXPECT_GE(server.health().jit_quarantined, before.quarantined + 1);
-    }
-    FaultInjector::instance().reset();
-    EXPECT_GE(FaultInjector::instance().stats("cache.read").hits, 0);
-    const JitStats after = JitCache::instance().stats();
-    EXPECT_GE(after.quarantined, before.quarantined + 1);
-
-    ASSERT_EQ(static_cast<std::int64_t>(results.size()), batch.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].status, RequestStatus::kOk) << results[i].error;
-      EXPECT_EQ(results[i].root_states, ref[i]) << "request " << i;
     }
   }
 }
@@ -348,77 +254,208 @@ TEST(FaultSweep, PersistentDispatchFaultFailsCleanlyAndRecovers) {
                       });
 }
 
-// -- interpreter fallback is the bit-identical oracle -----------------------
+// -- JIT compile/artifact faults, fired at the cache that owns them -------
 
-TEST(FaultSweep, DegradedPlanInterpreterFallbackMatchesOracle) {
-  // With the toolchain failing, a degraded plan's run_ilir (jit_refresh
-  // asking tolerantly, backoff suppressing) must produce exactly the
-  // interpreter oracle's buffers; once the fault clears and the backoff
-  // is lifted, the refresh rebuilds the kernel and results stay
-  // bit-identical.
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_cache_dir());
-  jit_env.set("1");
-  reset_compile_state();
-  const JitRetryPolicy saved = JitCache::instance().retry_policy();
-  JitCache::instance().set_retry_policy({0, 8});  // no wait between retries
+/// Everything one kernel build for `def` needs: the compiled artifacts
+/// (optimized program + memory plan) and a small linearized batch with
+/// parameters to run it on.
+struct KernelCase {
+  CompiledArtifacts a;
+  MemoryPlanOptions plan_opts;
+  models::ModelParams params;
+  std::vector<std::unique_ptr<ds::Tree>> trees;
+  std::vector<std::unique_ptr<ds::Dag>> dags;
+  linearizer::Linearized lin;
+};
 
-  Rng rng(37);
-  const models::ModelDef def = models::make_treelstm_embed(16);
-  const models::ModelParams params = models::init_params(def, rng);
-  FaultInjector::instance().configure("jit.cc=*");
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, gpu());
-  EXPECT_TRUE(a.jit_degraded);
-  EXPECT_EQ(a.jit, nullptr);
-  EXPECT_FALSE(a.jit_error.empty());
+KernelCase make_kernel_case(const models::ModelDef& def, std::uint64_t seed) {
+  KernelCase c;
+  c.a = compile_artifacts(def, ra::Schedule{}, gpu());
+  c.plan_opts.live_out = {c.a.lowered->output};
+  Rng rng(seed);
+  c.params = models::init_params(def, rng);
+  Batch b = make_batch(def, 3, seed);
+  c.trees = std::move(b.trees);
+  c.dags = std::move(b.dags);
+  c.lin = is_dag(def) ? linearizer::linearize_dags(baselines::raw(c.dags),
+                                                   c.a.lowered->lin_spec)
+                      : linearizer::linearize_trees(baselines::raw(c.trees),
+                                                    c.a.lowered->lin_spec);
+  return c;
+}
 
-  auto trees = ds::make_sst_like_batch(3, rng);
-  const linearizer::Linearized lin =
-      linearizer::linearize_trees(baselines::raw(trees), a.lowered->lin_spec);
+JitKernelPtr build_kernel(const KernelCase& c) {
+  return JitCache::instance().get_or_build(
+      *c.a.optimized, c.a.plan.ilir_memory.get(), c.plan_opts);
+}
 
-  IlirRunOptions degraded_opts;
-  degraded_opts.plan = a.plan.ilir_memory.get();
-  degraded_opts.jit_refresh = true;
-  degraded_opts.jit_refresh_plan_opts.live_out = {a.lowered->output};
-  const IlirRun degraded = run_ilir(*a.optimized, lin, params, degraded_opts);
-
-  IlirRunOptions oracle_opts;
-  oracle_opts.plan = a.plan.ilir_memory.get();
-  const IlirRun oracle = run_ilir(*a.optimized, lin, params, oracle_opts);
-
-  ASSERT_EQ(degraded.barriers, oracle.barriers);
-  for (const auto& [name, tensor] : degraded.buffers) {
-    const Tensor& refbuf = oracle.at(name);
-    ASSERT_EQ(tensor.numel(), refbuf.numel()) << name;
-    EXPECT_EQ(std::memcmp(tensor.data(), refbuf.data(),
-                          static_cast<std::size_t>(tensor.numel()) *
-                              sizeof(float)),
-              0)
-        << "degraded interpreter fallback diverged in " << name;
-  }
-
-  // Toolchain recovers: the next refresh rebuilds and runs the kernel.
-  FaultInjector::instance().reset();
-  const JitStats before = JitCache::instance().stats();
+/// Runs `kernel` and the interpreter over the case's batch and requires
+/// bit-identical buffers and barrier counts, and that the kernel ran.
+void expect_kernel_matches_interpreter(const KernelCase& c,
+                                       const JitKernelPtr& kernel) {
+  ASSERT_TRUE(kernel != nullptr);
   runtime::Profiler prof;
-  IlirRunOptions recovered_opts = degraded_opts;
-  recovered_opts.profiler = &prof;
-  const IlirRun recovered =
-      run_ilir(*a.optimized, lin, params, recovered_opts);
-  EXPECT_EQ(prof.jit_runs, 1) << "refresh did not re-acquire the kernel";
-  EXPECT_GE(JitCache::instance().stats().retries, before.retries + 1);
-  ASSERT_EQ(recovered.barriers, oracle.barriers);
-  for (const auto& [name, tensor] : recovered.buffers) {
-    const Tensor& refbuf = oracle.at(name);
-    EXPECT_EQ(std::memcmp(tensor.data(), refbuf.data(),
+  IlirRunOptions jit_opts;
+  jit_opts.plan = c.a.plan.ilir_memory.get();
+  jit_opts.jit = kernel.get();
+  jit_opts.profiler = &prof;
+  const IlirRun jit_run = run_ilir(*c.a.optimized, c.lin, c.params, jit_opts);
+  EXPECT_EQ(prof.jit_runs, 1);
+  IlirRunOptions interp_opts;
+  interp_opts.plan = c.a.plan.ilir_memory.get();
+  const IlirRun oracle = run_ilir(*c.a.optimized, c.lin, c.params, interp_opts);
+  ASSERT_EQ(jit_run.barriers, oracle.barriers);
+  for (const auto& [name, tensor] : jit_run.buffers) {
+    const Tensor& ref = oracle.at(name);
+    ASSERT_EQ(tensor.numel(), ref.numel()) << name;
+    EXPECT_EQ(std::memcmp(tensor.data(), ref.data(),
                           static_cast<std::size_t>(tensor.numel()) *
                               sizeof(float)),
               0)
-        << "recovered kernel diverged in " << name;
+        << "kernel diverged from the interpreter in " << name;
   }
-  JitCache::instance().set_retry_policy(saved);
+}
+
+/// Temp files, logs and half-built objects a failed build must not leave
+/// behind (published .c/.so/.sig artifacts are not stranded: they are
+/// what a later build reuses after verifying them).
+std::vector<std::string> stranded_files(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos ||
+        name.find(".log.") != std::string::npos)
+      out.push_back(name);
+  }
+  return out;
+}
+
+/// Arms `site=*` around one cold build per mini-zoo model in a fresh
+/// cache directory: the build must throw cortex::Error with the site
+/// fired, count one failure and strand no files. Once the site is reset
+/// the next build must yield a kernel bit-identical to the interpreter.
+void sweep_jit_site(const std::string& site) {
+  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  const std::string dir = fresh_cache_dir();
+  dir_env.set(dir);
+  for (const models::ModelDef& def : mini_zoo()) {
+    SCOPED_TRACE(site + " / " + def.name);
+    const KernelCase c = make_kernel_case(def, 43);
+    JitCache::instance().clear_memory();  // no registry hit skips the site
+    const JitStats before = JitCache::instance().stats();
+    FaultInjector::instance().configure(site + "=*");
+    EXPECT_THROW(build_kernel(c), cortex::Error);
+    EXPECT_GE(FaultInjector::instance().stats(site).fired, 1)
+        << site << " never fired";
+    FaultInjector::instance().reset();
+    EXPECT_EQ(JitCache::instance().stats().failures, before.failures + 1);
+    EXPECT_EQ(stranded_files(dir), std::vector<std::string>{});
+    expect_kernel_matches_interpreter(c, build_kernel(c));
+  }
+}
+
+// These four keep the names they had when the sites were reached through
+// a serving run; the kernel build is now the only path to them.
+TEST(FaultSweep, ToolchainFailureDegradesAndServesBitIdentical) {
+  sweep_jit_site("jit.cc");
+}
+
+TEST(FaultSweep, DlopenFailureDegradesAndServesBitIdentical) {
+  sweep_jit_site("jit.dlopen");
+}
+
+TEST(FaultSweep, DiskWriteFailureDegradesAndServesBitIdentical) {
+  sweep_jit_site("jit.disk.write");
+}
+
+TEST(FaultSweep, DiskRenameFailureDegradesAndServesBitIdentical) {
+  sweep_jit_site("jit.disk.rename");
+}
+
+TEST(FaultSweep, CorruptArtifactReadQuarantinesRecompilesAndServes) {
+  // cache.read only sits on the disk-reuse path, so an artifact must
+  // exist first: prebuild with faults off, drop the in-memory registry,
+  // then arm. The corrupt read fails the integrity check, the artifact is
+  // quarantined, and the recompile produces a working kernel.
+  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  const std::string dir = fresh_cache_dir();
+  dir_env.set(dir);
+  for (const models::ModelDef& def : mini_zoo()) {
+    SCOPED_TRACE(def.name);
+    const KernelCase c = make_kernel_case(def, 47);
+    JitCache::instance().clear_memory();
+    ASSERT_TRUE(build_kernel(c) != nullptr);  // publishes cx_<digest>.*
+    JitCache::instance().clear_memory();      // next build takes the disk
+
+    const JitStats before = JitCache::instance().stats();
+    FaultInjector::instance().configure("cache.read=*");
+    const JitKernelPtr recompiled = build_kernel(c);
+    EXPECT_GE(FaultInjector::instance().stats("cache.read").fired, 1);
+    FaultInjector::instance().reset();
+    const JitStats after = JitCache::instance().stats();
+    ASSERT_TRUE(recompiled != nullptr);
+    EXPECT_FALSE(recompiled->from_disk());
+    EXPECT_EQ(after.quarantined, before.quarantined + 1);
+    EXPECT_EQ(after.compiles, before.compiles + 1);
+    EXPECT_EQ(stranded_files(dir), std::vector<std::string>{});
+    expect_kernel_matches_interpreter(c, recompiled);
+
+    // Faults off: the recompiled artifact is reused from disk.
+    JitCache::instance().clear_memory();
+    expect_kernel_matches_interpreter(c, build_kernel(c));
+  }
+}
+
+TEST(FaultSweep, ServingNeverInvokesTheToolchain) {
+  // Every way to reach the toolchain is broken: jit.cc fires on each
+  // evaluation and the compiler is /bin/false. CORTEX_JIT is set as
+  // perfbench sets it, and must stay unread. Compiling, pooling and
+  // serving must never get near the toolchain.
+  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
+  EnvGuard cc_env("CORTEX_JIT_CC");
+  EnvGuard jit_env("CORTEX_JIT");
+  dir_env.set(fresh_cache_dir());
+  cc_env.set("/bin/false");
+  jit_env.set("1");
+  Rng prng(53);
+  for (const models::ModelDef& def : mini_zoo()) {
+    SCOPED_TRACE(def.name);
+    const models::ModelParams params = models::init_params(def, prng);
+    const Batch batch = make_batch(def, kRequests, 97);
+    std::vector<std::vector<std::vector<float>>> ref;
+    {
+      EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
+                          EnginePoolOptions{2, 1, 1});
+      ref = reference_slices(ref_pool, def, batch);
+    }
+
+    PlanCache::instance().clear();  // the armed pool compiles cold
+    const JitStats before = JitCache::instance().stats();
+    FaultInjector::instance().configure("jit.cc=*");
+    std::vector<ServedResult> results;
+    {
+      EnginePool pool(def, params, ra::Schedule{}, gpu(),
+                      EnginePoolOptions{2, 1, 1});
+      BatchServer server(pool, server_opts());
+      results = serve_batch(server, batch);
+      EXPECT_FALSE(server.health().degraded);
+    }
+    EXPECT_EQ(FaultInjector::instance().stats("jit.cc").hits, 0);
+    FaultInjector::instance().reset();
+    const JitStats after = JitCache::instance().stats();
+    EXPECT_EQ(after.compiles, before.compiles);
+    EXPECT_EQ(after.disk_hits, before.disk_hits);
+    EXPECT_EQ(after.memory_hits, before.memory_hits);
+    EXPECT_EQ(after.failures, before.failures);
+    EXPECT_EQ(after.quarantined, before.quarantined);
+    EXPECT_EQ(after.compile_ns, before.compile_ns);
+
+    ASSERT_EQ(static_cast<std::int64_t>(results.size()), batch.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_EQ(results[i].status, RequestStatus::kOk) << results[i].error;
+      EXPECT_EQ(results[i].root_states, ref[i]) << "request " << i;
+    }
+  }
 }
 
 }  // namespace

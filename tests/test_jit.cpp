@@ -1,10 +1,10 @@
 // JIT execution path (exec/jit.hpp): the zoo x schedule x batch-size
 // differential battery (JIT'd kernels bit-identical to the interpreter on
 // every buffer, with the static verifier forced on), kernel sharing
-// through compile_artifacts, on-disk artifact persistence (a "second
-// process" — simulated by dropping the in-memory registry — reuses the
-// .so with zero compiles), stale-source rebuilds and toolchain-failure
-// surfacing.
+// across recompiles, on-disk artifact persistence (a "second process" —
+// simulated by dropping the in-memory registry — reuses the .so with zero
+// compiles), stale-source rebuilds, toolchain-failure surfacing and crash
+// consistency of the artifact store.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "models/model_zoo.hpp"
 #include "runtime/device.hpp"
 #include "runtime/profiler.hpp"
-#include "support/fault_injection.hpp"
 #include "support/logging.hpp"
 
 namespace cortex::exec {
@@ -150,8 +149,6 @@ void expect_runs_bit_identical(const IlirRun& jit, const IlirRun& interp,
 
 TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   Rng rng(41);
   for (const models::ModelDef& def : zoo()) {
     if (!def.model) continue;
@@ -159,20 +156,21 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
     const bool dag = def.name == "DAG-RNN";
     for (const auto& [label, schedule] : schedule_variants(dag)) {
       SCOPED_TRACE(def.name + " / " + label);
-      // compile_artifacts builds the kernel eagerly under CORTEX_JIT
-      // (verification forced inside get_or_build).
       const CompiledArtifacts a =
           compile_artifacts(def, schedule, runtime::DeviceSpec::v100_gpu());
       ASSERT_TRUE(a.optimized.has_value());
-      ASSERT_TRUE(a.jit != nullptr);
-      ASSERT_TRUE(a.jit->fn() != nullptr);
+      // Verification is forced inside get_or_build.
+      const JitKernelPtr kernel = JitCache::instance().get_or_build(
+          *a.optimized, a.plan.ilir_memory.get(), {{a.lowered->output}, {}});
+      ASSERT_TRUE(kernel != nullptr);
+      ASSERT_TRUE(kernel->fn() != nullptr);
       for (int batch : {1, 3}) {
         SCOPED_TRACE("batch " + std::to_string(batch));
         const linearizer::Linearized lin =
             linearize_for(def, *a.lowered, batch, rng);
         IlirRunOptions jit_opts;
         jit_opts.plan = a.plan.ilir_memory.get();
-        jit_opts.jit = a.jit.get();
+        jit_opts.jit = kernel.get();
         const IlirRun jit_run = run_ilir(*a.optimized, lin, params, jit_opts);
         IlirRunOptions interp_opts;
         interp_opts.plan = a.plan.ilir_memory.get();
@@ -187,8 +185,6 @@ TEST(JitDifferential, ZooTimesSchedulesTimesBatchesBitIdentical) {
 
 TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   Rng rng(43);
   const models::ModelDef def = models::make_treelstm(16);
   const models::ModelParams params = models::init_params(def, rng);
@@ -199,10 +195,21 @@ TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
   ASSERT_TRUE(kernel != nullptr);
   EXPECT_FALSE(kernel->has_arena());
   const linearizer::Linearized lin = linearize_for(def, lm, 3, rng);
+  // Dispatch is decided by the caller alone: a kernel in the options runs
+  // it, none runs the interpreter, with no CORTEX_JIT in the environment.
+  EnvGuard jit_env("CORTEX_JIT");
+  jit_env.unset();
+  runtime::Profiler jit_prof;
   IlirRunOptions jit_opts;
   jit_opts.jit = kernel.get();
+  jit_opts.profiler = &jit_prof;
   const IlirRun jit_run = run_ilir(lm.program, lin, params, jit_opts);
-  const IlirRun interp_run = run_ilir(lm.program, lin, params);
+  EXPECT_EQ(jit_prof.jit_runs, 1);
+  runtime::Profiler interp_prof;
+  IlirRunOptions interp_opts;
+  interp_opts.profiler = &interp_prof;
+  const IlirRun interp_run = run_ilir(lm.program, lin, params, interp_opts);
+  EXPECT_EQ(interp_prof.jit_runs, 0);
   expect_runs_bit_identical(jit_run, interp_run, "no-plan kernel");
 }
 
@@ -210,25 +217,26 @@ TEST(JitDifferential, KernelWithoutMemoryPlanMatchesInterpreter) {
 
 TEST(JitCacheTest, RecompileSharesTheSameKernelHandle) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_treegru(16);
+  auto kernel_of = [](const CompiledArtifacts& a) {
+    return JitCache::instance().get_or_build(
+        *a.optimized, a.plan.ilir_memory.get(), {{a.lowered->output}, {}});
+  };
   const JitStats before = JitCache::instance().stats();
   const CompiledArtifacts a1 =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
   const CompiledArtifacts a2 =
       compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  ASSERT_TRUE(a1.jit != nullptr);
+  const JitKernelPtr k1 = kernel_of(a1);
+  ASSERT_TRUE(k1 != nullptr);
   // Same fingerprint -> the registry returns the same dlopen'd kernel.
-  EXPECT_EQ(a1.jit.get(), a2.jit.get());
+  EXPECT_EQ(k1.get(), kernel_of(a2).get());
   const JitStats after = JitCache::instance().stats();
   EXPECT_GE(after.memory_hits, before.memory_hits + 1);
 }
 
 TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_simple_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
   const MemoryPlanOptions mp_opts{{lm.output}, {}};
@@ -269,8 +277,6 @@ TEST(JitCacheTest, DiskArtifactReusedWithZeroCompiles) {
 
 TEST(JitCacheTest, StaleDiskSourceTriggersRebuild) {
   test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.set("1");
   const models::ModelDef def = models::make_treefc(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -307,28 +313,6 @@ TEST(JitCacheTest, ToolchainFailureSurfacesAsError) {
                cortex::Error);
   const JitStats after = JitCache::instance().stats();
   EXPECT_EQ(after.failures, before.failures + 1);
-}
-
-TEST(JitCacheTest, EnabledKnobSemantics) {
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.unset();
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("0");
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("");
-  EXPECT_FALSE(jit_enabled());
-  jit_env.set("1");
-  EXPECT_TRUE(jit_enabled());
-}
-
-TEST(JitCacheTest, DisabledJitLeavesArtifactsWithoutKernel) {
-  EnvGuard jit_env("CORTEX_JIT");
-  jit_env.unset();
-  const models::ModelDef def = models::make_treernn(16);
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  EXPECT_TRUE(a.optimized.has_value());
-  EXPECT_TRUE(a.jit == nullptr);
 }
 
 // -- crash consistency: distrusted artifacts quarantine, never run -----------
@@ -369,11 +353,9 @@ std::size_t count_quarantined(const std::string& dir) {
 }
 
 TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_treefc(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -411,11 +393,9 @@ TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
 }
 
 TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -446,11 +426,9 @@ TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
 }
 
 TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   const models::ModelDef def = models::make_simple_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
 
@@ -475,12 +453,10 @@ TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
 }
 
 TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
-  EnvGuard jit_env("CORTEX_JIT");
   EnvGuard cc_env("CORTEX_JIT_CC");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   const std::string dir = fresh_dir();
   dir_env.set(dir);
-  jit_env.set("1");
   cc_env.set("/bin/false");
   const models::ModelDef def = models::make_treernn(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
@@ -494,135 +470,6 @@ TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
     ADD_FAILURE() << "stranded file after failed compile: " << e.path();
   }
   EXPECT_EQ(files, 0u);
-}
-
-// -- degraded plans and the backoff-budgeted recompile -----------------------
-
-/// Saves/restores the process-wide retry policy (tests use zero backoff
-/// or huge backoff to pin timing without sleeping).
-class RetryPolicyGuard {
- public:
-  RetryPolicyGuard() : saved_(JitCache::instance().retry_policy()) {}
-  ~RetryPolicyGuard() {
-    JitCache::instance().set_retry_policy(saved_);
-    JitCache::instance().clear_backoff();
-  }
-
- private:
-  JitRetryPolicy saved_;
-};
-
-TEST(JitBackoffTest, TolerantAcquisitionAbsorbsFailureAndSuppressesRetries) {
-  test_cache_dir();
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  cc_env.set("/bin/false");
-  RetryPolicyGuard policy;
-  JitCache& cache = JitCache::instance();
-  cache.clear_backoff();
-  // Huge backoff window: the second ask must be answered from the
-  // ledger, without touching the toolchain again.
-  cache.set_retry_policy({1000 * 60 * 60, 8});
-  const models::ModelDef def = models::make_treegru_embed(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  const JitStats s0 = cache.stats();
-  const JitTryResult r1 = cache.try_get_or_build(lm.program, nullptr);
-  EXPECT_EQ(r1.kernel, nullptr);
-  EXPECT_FALSE(r1.suppressed);  // a build was attempted (and failed)
-  EXPECT_FALSE(r1.error.empty());
-  const JitStats s1 = cache.stats();
-  EXPECT_EQ(s1.failures, s0.failures + 1);
-
-  const JitTryResult r2 = cache.try_get_or_build(lm.program, nullptr);
-  EXPECT_EQ(r2.kernel, nullptr);
-  EXPECT_TRUE(r2.suppressed);  // backoff window still open
-  EXPECT_FALSE(r2.error.empty());
-  const JitStats s2 = cache.stats();
-  EXPECT_EQ(s2.failures, s1.failures);  // no second toolchain invocation
-  EXPECT_EQ(s2.backoff_suppressed, s1.backoff_suppressed + 1);
-}
-
-TEST(JitBackoffTest, RetryBudgetExhaustionStopsAskingTheToolchain) {
-  test_cache_dir();
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  cc_env.set("/bin/false");
-  RetryPolicyGuard policy;
-  JitCache& cache = JitCache::instance();
-  cache.clear_backoff();
-  cache.set_retry_policy({0, 2});  // immediate retries, budget of 2
-  const models::ModelDef def = models::make_mvrnn(8);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  const JitStats s0 = cache.stats();
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  // Budget spent: every further ask is suppressed, forever, until
-  // clear_backoff (or a success elsewhere).
-  for (int i = 0; i < 3; ++i)
-    EXPECT_TRUE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-  const JitStats s1 = cache.stats();
-  EXPECT_EQ(s1.failures, s0.failures + 2);
-  EXPECT_EQ(s1.retries, s0.retries + 1);  // the 2nd attempt was a retry
-  EXPECT_EQ(s1.backoff_suppressed, s0.backoff_suppressed + 3);
-
-  // clear_backoff lifts the embargo ("the toolchain is fixed now").
-  cache.clear_backoff();
-  EXPECT_FALSE(cache.try_get_or_build(lm.program, nullptr).suppressed);
-}
-
-TEST(JitBackoffTest, SuccessAfterFailureClearsTheRecordAndServesKernels) {
-  // A private artifact dir + cold memory cache: an artifact left behind
-  // by an earlier test would satisfy the ask before the armed jit.cc
-  // site is ever consulted.
-  EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  dir_env.set(fresh_dir());
-  RetryPolicyGuard policy;
-  struct FaultGuard {
-    ~FaultGuard() { support::FaultInjector::instance().reset(); }
-  } fault_guard;
-  JitCache& cache = JitCache::instance();
-  cache.clear_memory();
-  cache.clear_backoff();
-  cache.set_retry_policy({0, 8});  // no wait between attempts
-  const models::ModelDef def = models::make_treelstm(16);
-  const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
-
-  // Fail via the jit.cc fault site, NOT a different CORTEX_JIT_CC: the
-  // compiler command is part of the kernel key, so swapping compilers
-  // would record the failure and the recovery under different keys.
-  support::FaultInjector::instance().configure("jit.cc=*");
-  EXPECT_EQ(cache.try_get_or_build(lm.program, nullptr).kernel, nullptr);
-
-  // Toolchain recovers: the next tolerant ask rebuilds and succeeds.
-  support::FaultInjector::instance().reset();
-  const JitTryResult ok = cache.try_get_or_build(lm.program, nullptr);
-  ASSERT_TRUE(ok.kernel != nullptr);
-  EXPECT_FALSE(ok.suppressed);
-  expect_kernel_correct(def, lm, ok.kernel, 71);
-
-  // The failure record is gone: strict acquisition is a memory hit.
-  const JitStats before = cache.stats();
-  EXPECT_EQ(cache.get_or_build(lm.program, nullptr).get(), ok.kernel.get());
-  EXPECT_EQ(cache.stats().memory_hits, before.memory_hits + 1);
-}
-
-TEST(JitBackoffTest, DegradedCompileArtifactsCarryTheError) {
-  test_cache_dir();
-  EnvGuard jit_env("CORTEX_JIT");
-  EnvGuard cc_env("CORTEX_JIT_CC");
-  RetryPolicyGuard policy;
-  JitCache::instance().clear_backoff();
-  jit_env.set("1");
-  cc_env.set("/bin/false");
-  const models::ModelDef def = models::make_seq_gru(16);
-  // Tolerant compile: a broken toolchain degrades the plan instead of
-  // failing compilation.
-  const CompiledArtifacts a =
-      compile_artifacts(def, ra::Schedule{}, runtime::DeviceSpec::v100_gpu());
-  EXPECT_TRUE(a.optimized.has_value());
-  EXPECT_EQ(a.jit, nullptr);
-  EXPECT_TRUE(a.jit_degraded);
-  EXPECT_FALSE(a.jit_error.empty());
 }
 
 }  // namespace
