@@ -80,7 +80,7 @@ int main() {
 
     for (const int w : workers) {
       exec::EnginePool pool(def, params, ra::Schedule{}, spec,
-                            exec::EnginePoolOptions{w, 1, 1});
+                            exec::EnginePoolOptions{w});
       const runtime::RunResult out = pool.run(raw);
       const bool identical = out.root_states == ref.root_states;
       all_identical = all_identical && identical;

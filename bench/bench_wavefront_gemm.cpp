@@ -6,11 +6,14 @@
 // into 8 panel GEMMs per step — the compute-dense form of dynamic
 // batching (Cortex §5 / Cavs' pull-compute-push, GRNN's fused steps).
 //
-// The per-node reference is an engine whose schedule turns dynamic
-// batching off: it walks the nodes serially through the per-node cell
-// executor. Acceptance (full-size runs): single-thread batched speedup
-// >= 2x over per-node at batch >= 64. Outputs must be bit-identical in
-// every row; a mismatch fails the binary.
+// The per-node reference is a models::CellExecutor walk over the
+// linearization's execution order, one node (and one GEMV per gate) at a
+// time; the engine itself runs only panels. Acceptance (full-size
+// runs): single-thread batched speedup >= 2x over per-node at batch >=
+// 64. Every node state must be bit-identical; a mismatch fails the
+// binary.
+
+#include <cstring>
 
 #include "common.hpp"
 
@@ -18,17 +21,17 @@ using namespace cortex;
 
 namespace {
 
-double best_run_ms(exec::CortexEngine& engine,
-                   const linearizer::Linearized& lin, int iters,
-                   runtime::RunResult* out) {
-  (void)engine.run_linearized(lin, 0.0);  // warmup (pool, caches, panels)
+/// Best wall time of `iters` calls of `run`, after one warmup call
+/// (pool, caches, panels).
+template <typename Run>
+double best_run_ms(int iters, Run&& run) {
+  run();
   double best = 0.0;
   for (int i = 0; i < iters; ++i) {
     const std::int64_t t0 = runtime::now_ns();
-    runtime::RunResult r = engine.run_linearized(lin, 0.0);
+    run();
     const double ms = static_cast<double>(runtime::now_ns() - t0) * 1e-6;
     if (i == 0 || ms < best) best = ms;
-    if (i + 1 == iters) *out = std::move(r);
   }
   return best;
 }
@@ -56,10 +59,7 @@ int main() {
   exec::CortexEngine engine(def, params, ra::Schedule{},
                             runtime::DeviceSpec::v100_gpu());
   engine.set_num_threads(1);
-  ra::Schedule per_node_schedule;
-  per_node_schedule.dynamic_batching = false;
-  exec::CortexEngine reference(def, params, per_node_schedule,
-                               runtime::DeviceSpec::v100_gpu());
+  models::CellExecutor reference(def.cell, params);
 
   std::printf("%-8s %8s %14s %14s %10s %12s %10s\n", "batch", "nodes",
               "per-node (ms)", "batched (ms)", "speedup", "panel_gemms",
@@ -77,20 +77,19 @@ int main() {
     const linearizer::Linearized lin =
         linearizer::linearize_trees(raw, linearizer::LinearizerSpec{});
 
-    const auto states_snapshot = [&](const exec::CortexEngine& e) {
-      return std::vector<float>(
-          e.last_states().data(),
-          e.last_states().data() + lin.num_nodes * def.cell.state_width);
-    };
-    runtime::RunResult per_node, batched;
-    const double t_node = best_run_ms(reference, lin, iters, &per_node);
-    const double t_batch = best_run_ms(engine, lin, iters, &batched);
+    Tensor per_node(Shape{lin.num_nodes, def.cell.state_width});
+    runtime::RunResult batched;
+    const double t_node = best_run_ms(
+        iters, [&] { baselines::node_states(reference, lin, per_node); });
+    const double t_batch = best_run_ms(
+        iters, [&] { batched = engine.run_linearized(lin, 0.0); });
 
     // Every node state, not just the roots: a regression in an
     // intermediate wavefront must fail the gate too.
-    const bool identical = batched.root_states == per_node.root_states &&
-                           states_snapshot(engine) ==
-                               states_snapshot(reference);
+    const bool identical =
+        std::memcmp(engine.last_states().data(), per_node.data(),
+                    static_cast<std::size_t>(per_node.numel()) *
+                        sizeof(float)) == 0;
     all_identical = all_identical && identical;
     const double speedup = t_node / t_batch;
     if (!smoke && b >= 64 &&

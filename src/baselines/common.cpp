@@ -9,22 +9,10 @@ SharedStates states_from_lin(const models::ModelDef& def,
                              linearizer::Linearized lin) {
   SharedStates ss;
   ss.lin = std::move(lin);
-  const std::int64_t n = ss.lin.num_nodes;
   const std::int64_t sw = def.cell.state_width;
-  ss.states = Tensor::zeros(Shape{n, sw});
-
+  ss.states = Tensor::zeros(Shape{ss.lin.num_nodes, sw});
   models::CellExecutor exec(def.cell, params);
-  std::vector<const float*> kids;
-  for (const std::int32_t id : ss.lin.exec_order) {
-    const auto i = static_cast<std::size_t>(id);
-    const std::int32_t off0 = ss.lin.child_offsets[i];
-    const std::int32_t off1 = ss.lin.child_offsets[i + 1];
-    kids.clear();
-    for (std::int32_t c = off0; c < off1; ++c)
-      kids.push_back(
-          ss.states.row(ss.lin.child_ids[static_cast<std::size_t>(c)]));
-    exec.run_node(off0 == off1, kids, ss.lin.word[i], ss.states.row(id));
-  }
+  node_states(exec, ss.lin, ss.states);
 
   ss.root_states.reserve(ss.lin.roots.size());
   for (const std::int32_t r : ss.lin.roots) {
@@ -35,6 +23,20 @@ SharedStates states_from_lin(const models::ModelDef& def,
 }
 
 }  // namespace
+
+void node_states(models::CellExecutor& exec,
+                 const linearizer::Linearized& lin, Tensor& states) {
+  std::vector<const float*> kids;
+  for (const std::int32_t id : lin.exec_order) {
+    const auto i = static_cast<std::size_t>(id);
+    const std::int32_t off0 = lin.child_offsets[i];
+    const std::int32_t off1 = lin.child_offsets[i + 1];
+    kids.clear();
+    for (std::int32_t c = off0; c < off1; ++c)
+      kids.push_back(states.row(lin.child_ids[static_cast<std::size_t>(c)]));
+    exec.run_node(off0 == off1, kids, lin.word[i], states.row(id));
+  }
+}
 
 SharedStates compute_states(const models::ModelDef& def,
                             const models::ModelParams& params,

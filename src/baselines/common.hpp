@@ -33,6 +33,13 @@ struct SharedStates {
   std::vector<std::vector<float>> root_states;
 };
 
+/// Every node state of `lin`, computed node by node in `lin.exec_order`
+/// by the per-node reference executor into `states` (num_nodes rows of
+/// the cell's state width). The oracle the Cortex engine's panel path
+/// must match bit for bit.
+void node_states(models::CellExecutor& exec,
+                 const linearizer::Linearized& lin, Tensor& states);
+
 SharedStates compute_states(const models::ModelDef& def,
                             const models::ModelParams& params,
                             const std::vector<const ds::Tree*>& trees);

@@ -1,7 +1,5 @@
 #include "baselines/eager.hpp"
 
-#include <functional>
-
 #include "exec/plan.hpp"
 #include "tensor/workspace.hpp"
 
@@ -34,41 +32,42 @@ runtime::RunResult EagerEngine::run(
   std::int64_t tmp_width = 0;
   for (const auto& [reg, w] : widths) tmp_width += w;
 
-  // Eager evaluation: one kernel per operator per node; child states are
-  // released once the parent has consumed them (refcounting), so only the
-  // recursion frontier stays allocated.
-  std::function<std::int64_t(const ds::TreeNode*)> visit =
-      [&](const ds::TreeNode* node) -> std::int64_t {
-    std::vector<std::int64_t> child_tickets;
-    if (!node->is_leaf()) {
-      child_tickets.push_back(visit(node->left));
-      child_tickets.push_back(visit(node->right));
-    }
-    const auto& ops = (node->is_leaf() && !def_.cell.leaf_ops.empty())
-                          ? def_.cell.leaf_ops
-                          : def_.cell.internal_ops;
-    const std::int64_t tmp = ws.allocate(tmp_width * kF);
-    for (const models::CellOp& op : ops) {
-      const exec::KernelTemplate t =
-          exec::op_template(op, widths, pbytes, nc, "eager/");
-      runtime::KernelDesc k;
-      k.flops = t.flops_per_node;
-      k.bytes_read = t.bytes_read_per_node;
-      k.bytes_weights = t.weight_bytes;
-      k.bytes_written = t.bytes_written_per_node;
-      k.parallelism = t.width;
-      device.launch(k);
-      device.profiler().host_other_ns += config_.dispatch_ns;
-    }
-    ws.release(tmp);
-    const std::int64_t state_ticket = ws.allocate(sw * kF);
-    for (const std::int64_t ct : child_tickets) ws.release(ct);
-    return state_ticket;
-  };
-
-  std::vector<std::int64_t> root_tickets;
-  for (const ds::Tree* t : trees) root_tickets.push_back(visit(t->root()));
-  for (const std::int64_t rt : root_tickets) ws.release(rt);
+  // Eager evaluation: one kernel per operator per node, in post-order;
+  // child states are released once the parent has consumed them
+  // (refcounting), so only the recursion frontier stays allocated.
+  // `tickets` holds the state tickets of finished subtrees: a parent's
+  // two children are its top two entries, left below right.
+  std::vector<std::int64_t> tickets;
+  for (const ds::Tree* tree : trees) {
+    ds::for_each_post_order(tree->root(), [&](const ds::TreeNode* node) {
+      const auto& ops = (node->is_leaf() && !def_.cell.leaf_ops.empty())
+                            ? def_.cell.leaf_ops
+                            : def_.cell.internal_ops;
+      const std::int64_t tmp = ws.allocate(tmp_width * kF);
+      for (const models::CellOp& op : ops) {
+        const exec::KernelTemplate t =
+            exec::op_template(op, widths, pbytes, nc, "eager/");
+        runtime::KernelDesc k;
+        k.flops = t.flops_per_node;
+        k.bytes_read = t.bytes_read_per_node;
+        k.bytes_weights = t.weight_bytes;
+        k.bytes_written = t.bytes_written_per_node;
+        k.parallelism = t.width;
+        device.launch(k);
+        device.profiler().host_other_ns += config_.dispatch_ns;
+      }
+      ws.release(tmp);
+      const std::int64_t state_ticket = ws.allocate(sw * kF);
+      if (!node->is_leaf()) {
+        ws.release(tickets[tickets.size() - 2]);
+        ws.release(tickets.back());
+        tickets.resize(tickets.size() - 2);
+      }
+      tickets.push_back(state_ticket);
+    });
+  }
+  // One root ticket per tree is left, in tree order.
+  for (const std::int64_t rt : tickets) ws.release(rt);
 
   runtime::RunResult rr;
   rr.root_states = std::move(ss.root_states);

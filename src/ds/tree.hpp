@@ -59,6 +59,35 @@ class Tree {
   std::vector<std::unique_ptr<TreeNode>> nodes_;
 };
 
+/// Calls visit(node) for every node under `root` in post-order, left
+/// subtree before right, so children are visited before their parent.
+/// Iterative: a structure's depth is bounded by memory, not by the call
+/// stack. `root` must head a valid tree (Tree::validate()).
+template <typename Visit>
+void for_each_post_order(const TreeNode* root, Visit&& visit) {
+  // The stack holds the path from the root to the current node; a node
+  // is visited once its right subtree is done (or absent).
+  std::vector<const TreeNode*> path;
+  path.reserve(64);  // one allocation for trees up to 64 levels deep
+  const TreeNode* cur = root;
+  const TreeNode* last = nullptr;
+  while (cur != nullptr || !path.empty()) {
+    if (cur != nullptr) {
+      path.push_back(cur);
+      cur = cur->left;
+      continue;
+    }
+    const TreeNode* top = path.back();
+    if (top->right != nullptr && top->right != last) {
+      cur = top->right;
+    } else {
+      visit(top);
+      last = top;
+      path.pop_back();
+    }
+  }
+}
+
 /// A batch of independently-processed trees (the paper's "batch size").
 using TreeBatch = std::vector<const Tree*>;
 

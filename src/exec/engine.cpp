@@ -57,8 +57,7 @@ CortexEngine::CortexEngine(const models::ModelDef& def,
       params_(params),
       schedule_(schedule),
       spec_(std::move(spec)),
-      artifacts_(obtain_artifacts(def, schedule_, spec_)),
-      cell_exec_(def.cell, params) {}
+      artifacts_(obtain_artifacts(def, schedule_, spec_)) {}
 
 models::BatchedCellExecutor& CortexEngine::batched_exec() {
   if (!batched_exec_)
@@ -107,29 +106,14 @@ runtime::RunResult CortexEngine::run(const std::vector<const ds::Dag*>& dags) {
 
 void CortexEngine::ensure_pool() {
   if (!pool_) pool_ = std::make_unique<support::ThreadPool>();
-  if (worker_scratch_.size() !=
-      static_cast<std::size_t>(pool_->num_threads()))
-    worker_scratch_.assign(static_cast<std::size_t>(pool_->num_threads()),
-                           WorkerScratch{});
+  worker_panels_.resize(static_cast<std::size_t>(pool_->num_threads()));
 }
 
 void CortexEngine::set_num_threads(int n) {
   pool_ = std::make_unique<support::ThreadPool>(
       n < 1 ? support::ThreadPool::default_num_threads() : n);
-  worker_scratch_.assign(static_cast<std::size_t>(pool_->num_threads()),
-                         WorkerScratch{});
-}
-
-void CortexEngine::run_one(const linearizer::Linearized& lin,
-                           std::int64_t id, WorkerScratch& sc) {
-  const auto n = static_cast<std::size_t>(id);
-  const std::int32_t off0 = lin.child_offsets[n];
-  const std::int32_t off1 = lin.child_offsets[n + 1];
-  sc.kids.clear();
-  for (std::int32_t c = off0; c < off1; ++c)
-    sc.kids.push_back(states_.row(lin.child_ids[static_cast<std::size_t>(c)]));
-  cell_exec_.run_node(off0 == off1, sc.kids, lin.word[n], states_.row(id),
-                      sc.regs);
+  worker_panels_.assign(static_cast<std::size_t>(pool_->num_threads()),
+                        models::BatchedCellExecutor::Panels{});
 }
 
 void CortexEngine::run_panel(const linearizer::Linearized& lin,
@@ -161,76 +145,62 @@ void CortexEngine::run_panel(const linearizer::Linearized& lin,
 void CortexEngine::run_numerics(const linearizer::Linearized& lin,
                                 runtime::Profiler& prof) {
   const std::int64_t t0 = runtime::now_ns();
+  // Every node must belong to exactly one dynamic batch: the wavefront
+  // loop below is the only walk over the nodes, so a hand-built input
+  // whose batches miss some would otherwise leave them as silent zeros.
+  std::int64_t batched_nodes = 0;
+  for (const std::int32_t len : lin.batch_length) batched_nodes += len;
+  CORTEX_CHECK(batched_nodes == lin.num_nodes)
+      << "linearization batches cover " << batched_nodes << " of "
+      << lin.num_nodes << " nodes";
 
-  if (!plan().dynamic_batching || lin.num_batches() == 0) {
-    // No wavefront structure to exploit: serial walk in topological order.
-    WorkerScratch sc;
-    for (const std::int32_t id : lin.exec_order) run_one(lin, id, sc);
-    prof.numerics_host_ns += static_cast<double>(runtime::now_ns() - t0);
-    return;
-  }
-
-  // Wavefront execution: each dynamic batch is a contiguous id range of
-  // mutually independent nodes (ForKind::kParallel in the lowered ILIR),
-  // split across the pool; parallel_for's join is the inter-batch barrier
-  // (the host mirror of the §A.4 insert_barriers placement). Every node
-  // writes only its own state row and reads rows finished in earlier
-  // batches, so outputs are bit-identical at any thread count.
+  // Wavefront execution, whatever the schedule (its dynamic_batch
+  // primitive only selects the modeled device accounting): each dynamic
+  // batch is a contiguous id range of mutually independent nodes
+  // (ForKind::kParallel in the lowered ILIR), split across the pool;
+  // parallel_for's join is the inter-batch barrier (the host mirror of
+  // the §A.4 insert_barriers placement). Every node writes only its own
+  // state row and reads rows finished in earlier batches.
   //
   // Each worker's row range runs through the batched executor: child
   // states gathered into contiguous panels, one GEMM per kMatVec op
-  // over the whole panel (§5's compute-dense form of dynamic batching,
-  // the Cavs/GRNN batching the per-node path leaves on the table). Rows
-  // are computed independently inside a panel, so chunking — and hence
-  // the thread count — cannot perturb any node's result.
+  // over the whole panel (§5's compute-dense form of dynamic batching).
+  // Rows are computed independently inside a panel, so chunking — and
+  // hence the thread count — cannot perturb any node's result.
   ensure_pool();
   prof.host_threads = pool_->num_threads();
-  // A cell only the per-node path can run (panel invariants are stricter)
-  // falls back transparently: supported() is false and the reference
-  // executor below raises any actual model errors.
-  const bool batched = batched_exec().supported();
   // Reset the per-worker panel stats up front (not only after a run): a
   // run that throws mid-wavefront must not drain its partial counts into
   // the next run's profiler (EnginePool keeps serving an engine whose
-  // last batch failed).
-  for (WorkerScratch& sc : worker_scratch_) {
-    sc.panels.gemm_calls = 0;
-    sc.panels.panels_run = 0;
-    sc.panels.max_panel_rows = 0;
-  }
-  if (batched) {
-    // Static chunking hands each worker at most ceil(len / threads) rows
-    // of any wavefront, so reserve per-worker chunks, not whole batches.
-    const int threads = pool_->num_threads();
-    const std::int64_t worker_rows =
-        (lin.max_batch_length() + threads - 1) / threads;
-    for (WorkerScratch& sc : worker_scratch_)
-      batched_exec().reserve(worker_rows, sc.panels);
+  // last batch failed). Static chunking hands each worker at most
+  // ceil(len / threads) rows of any wavefront, so reserve per-worker
+  // chunks, not whole batches.
+  const int threads = pool_->num_threads();
+  const std::int64_t worker_rows =
+      (lin.max_batch_length() + threads - 1) / threads;
+  for (models::BatchedCellExecutor::Panels& p : worker_panels_) {
+    p.gemm_calls = 0;
+    p.panels_run = 0;
+    p.max_panel_rows = 0;
+    batched_exec().reserve(worker_rows, p);
   }
   for (std::int64_t b = 0; b < lin.num_batches(); ++b) {
     const auto bi = static_cast<std::size_t>(b);
     const std::int64_t begin = lin.batch_begin[bi];
     const std::int64_t len = lin.batch_length[bi];
-    if (pool_->num_threads() > 1 && len > 1) ++prof.parallel_batches;
+    if (threads > 1 && len > 1) ++prof.parallel_batches;
     pool_->parallel_for(
         len, [&](int worker, std::int64_t i0, std::int64_t i1) {
-          WorkerScratch& sc =
-              worker_scratch_[static_cast<std::size_t>(worker)];
-          if (batched) {
-            run_panel(lin, begin + i0, i1 - i0, sc.panels);
-          } else {
-            for (std::int64_t i = i0; i < i1; ++i)
-              run_one(lin, begin + i, sc);
-          }
+          run_panel(lin, begin + i0, i1 - i0,
+                    worker_panels_[static_cast<std::size_t>(worker)]);
         });
   }
-  // Drain the per-worker panel stats into the profiler (the next batched
-  // run zeroes them before its wavefront loop).
-  for (WorkerScratch& sc : worker_scratch_) {
-    prof.batched_gemm_calls += sc.panels.gemm_calls;
-    prof.batched_panels += sc.panels.panels_run;
-    prof.max_panel_rows =
-        std::max(prof.max_panel_rows, sc.panels.max_panel_rows);
+  // Drain the per-worker panel stats into the profiler (the next run
+  // zeroes them before its wavefront loop).
+  for (const models::BatchedCellExecutor::Panels& p : worker_panels_) {
+    prof.batched_gemm_calls += p.gemm_calls;
+    prof.batched_panels += p.panels_run;
+    prof.max_panel_rows = std::max(prof.max_panel_rows, p.max_panel_rows);
   }
   prof.numerics_host_ns += static_cast<double>(runtime::now_ns() - t0);
 }

@@ -11,12 +11,13 @@
 // At run time the engine:
 //   1. linearizes the input structures on the host CPU (§4.2, timed),
 //   2. executes the model numerics bottom-up over the linearized arrays
-//      (the exact semantics every baseline shares, so outputs are
-//      bit-comparable across frameworks) — with the batched wavefront
-//      executor (each dynamic batch's per-node GEMVs fused into panel
-//      GEMMs) whenever the schedule batches dynamically and the cell
-//      supports panels, else with the per-node path; the two are
-//      bit-identical by construction,
+//      with the batched wavefront executor: each dynamic batch is one
+//      contiguous id range whose per-node GEMVs fuse into panel GEMMs.
+//      This is the engine's only host numeric path, for every schedule
+//      (the schedule's dynamic_batch primitive changes only the modeled
+//      device accounting below); it is bit-identical to the per-node
+//      reference executor in models/cell.hpp that the baselines and
+//      tests walk;
 //   3. accounts device cost on the virtual device model: kernel launches,
 //      off-chip traffic, barriers (README, "Modeled device vs measured
 //      host").
@@ -91,34 +92,19 @@ class CortexEngine {
   const Tensor& last_states() const { return states_; }
 
  private:
-  /// Per-worker mutable state for the numeric executor: cell scratch
-  /// registers, the gathered child-state pointers, and the batched
-  /// executor's panel workspace.
-  struct WorkerScratch {
-    models::CellExecutor::Scratch regs;
-    std::vector<const float*> kids;
-    models::BatchedCellExecutor::Panels panels;
-  };
-
   void run_numerics(const linearizer::Linearized& lin,
                     runtime::Profiler& prof);
-  /// Executes one node's cell program into its state row — the single
-  /// per-node body shared by the serial and parallel paths, so they can
-  /// never diverge numerically.
-  void run_one(const linearizer::Linearized& lin, std::int64_t id,
-               WorkerScratch& sc);
   /// Batched wavefront body: runs `n` consecutively numbered nodes
   /// starting at `first` (a worker's row range of one dynamic batch)
   /// through the BatchedCellExecutor, splitting the range into maximal
   /// same-leafness runs so each run maps to one cell program.
   void run_panel(const linearizer::Linearized& lin, std::int64_t first,
                  std::int64_t n, models::BatchedCellExecutor::Panels& p);
-  /// Lazily builds the pool (and per-worker scratch) on first parallel use
-  /// so plan-only engines never spawn threads.
+  /// Lazily builds the pool (and per-worker panels) on first run so
+  /// plan-only engines never spawn threads.
   void ensure_pool();
-  /// Lazily builds the batched executor on first batched run: its
-  /// packed weight copies cost memory, so engines that never take the
-  /// batched path (no dynamic batching, plan-only) never pay for it. Safe
+  /// Lazily builds the batched executor on first run: its packed weight
+  /// copies cost memory, so plan-only engines never pay for it. Safe
   /// without locking for the same reason states_ is: one engine is driven
   /// by one thread at a time. Deliberately NOT part of the shared
   /// CompiledArtifacts: artifacts are weight-independent by design
@@ -136,11 +122,11 @@ class CortexEngine {
   ra::Schedule schedule_;
   runtime::DeviceSpec spec_;
   ArtifactsPtr artifacts_;
-  models::CellExecutor cell_exec_;
   std::unique_ptr<models::BatchedCellExecutor> batched_exec_;
   Tensor states_;
   std::unique_ptr<support::ThreadPool> pool_;
-  std::vector<WorkerScratch> worker_scratch_;
+  /// One panel workspace per pool worker.
+  std::vector<models::BatchedCellExecutor::Panels> worker_panels_;
 };
 
 }  // namespace cortex::exec

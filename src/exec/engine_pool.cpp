@@ -17,17 +17,12 @@ support::FaultSite g_fault_pool_worker("pool.worker");
 
 }  // namespace
 
-std::vector<EnginePool::Shard> EnginePool::shard_plan(
-    std::int64_t batch, int workers, std::int64_t min_shard_size) {
+std::vector<EnginePool::Shard> EnginePool::shard_plan(std::int64_t batch,
+                                                      int workers) {
   if (batch <= 0) return {};
-  const std::int64_t w = std::max(workers, 1);
-  const std::int64_t floor = std::max<std::int64_t>(min_shard_size, 1);
-  // At most one shard per worker, and no shard below the size floor:
-  // splitting into S <= batch/floor contiguous near-even slices makes
-  // every slice at least floor(batch/S) >= floor elements. A batch
-  // smaller than the floor still runs, as one undersized shard.
+  // At most one shard per worker and none empty.
   const std::int64_t s =
-      std::min<std::int64_t>(w, std::max<std::int64_t>(1, batch / floor));
+      std::min<std::int64_t>(std::max(workers, 1), batch);
   std::vector<Shard> shards;
   shards.reserve(static_cast<std::size_t>(s));
   for (std::int64_t i = 0; i < s; ++i)
@@ -41,8 +36,6 @@ EnginePool::EnginePool(const models::ModelDef& def,
                        EnginePoolOptions opts)
     : def_(def), opts_(opts) {
   if (opts_.workers < 1) opts_.workers = support::hardware_threads();
-  if (opts_.min_shard_size < 1) opts_.min_shard_size = 1;
-  if (opts_.threads_per_worker < 1) opts_.threads_per_worker = 1;
   if (opts_.transient_retries < 0) opts_.transient_retries = 0;
   engines_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int w = 0; w < opts_.workers; ++w) {
@@ -50,7 +43,9 @@ EnginePool::EnginePool(const models::ModelDef& def,
     // workers 1..N-1 are guaranteed warm hits sharing the same artifacts.
     engines_.push_back(
         std::make_unique<CortexEngine>(def, params, schedule, spec));
-    engines_.back()->set_num_threads(opts_.threads_per_worker);
+    // One wavefront thread per engine: the pool parallelizes across
+    // shards, so nested per-engine pools would only oversubscribe.
+    engines_.back()->set_num_threads(1);
   }
   tasks_ = std::make_unique<support::TaskPool>(opts_.workers);
 }
@@ -72,9 +67,8 @@ template <typename Item>
 runtime::RunResult EnginePool::run_sharded(const std::vector<Item>& batch) {
   if (batch.empty()) return runtime::RunResult{};
 
-  const std::vector<Shard> shards = shard_plan(
-      static_cast<std::int64_t>(batch.size()), num_workers(),
-      opts_.min_shard_size);
+  const std::vector<Shard> shards =
+      shard_plan(static_cast<std::int64_t>(batch.size()), num_workers());
   const auto num_shards = shards.size();
   std::vector<runtime::RunResult> results(num_shards);
   std::vector<runtime::ShardRecord> records(num_shards);

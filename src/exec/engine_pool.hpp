@@ -62,16 +62,6 @@ namespace cortex::exec {
 struct EnginePoolOptions {
   /// Worker engines. < 1 uses support::hardware_threads().
   int workers = 0;
-  /// Size floor for shards: the batch is split into at most
-  /// floor(batch / min_shard_size) shards (never more than `workers`), so
-  /// no shard is smaller than the floor — except a batch smaller than the
-  /// floor, which becomes one undersized shard. Floors keep per-shard
-  /// linearization overhead amortized for small batches.
-  std::int64_t min_shard_size = 1;
-  /// Wavefront threads inside each worker engine. Defaults to 1: the pool
-  /// parallelizes across shards, so nested per-engine pools would only
-  /// oversubscribe the host.
-  int threads_per_worker = 1;
   /// Times a shard that failed with cortex::TransientError is re-run
   /// (same worker, same inputs) before the error propagates; < 0 is
   /// clamped to 0. Deterministic errors never retry.
@@ -126,11 +116,10 @@ class EnginePool {
   PoolStats stats() const;
 
   /// The deterministic sharding plan: contiguous slices covering
-  /// [0, batch) exactly once, in order, sizes within 1 of each other, at
-  /// most `workers` shards and no more than floor(batch / min_shard_size)
-  /// of them (min 1). Exposed for the shard-boundary fuzz tests.
-  static std::vector<Shard> shard_plan(std::int64_t batch, int workers,
-                                       std::int64_t min_shard_size);
+  /// [0, batch) exactly once, in order, sizes within 1 of each other,
+  /// min(batch, workers) shards. Exposed for the shard-boundary fuzz
+  /// tests.
+  static std::vector<Shard> shard_plan(std::int64_t batch, int workers);
 
  private:
   template <typename Item>

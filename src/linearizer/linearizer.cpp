@@ -1,7 +1,6 @@
 #include "linearizer/linearizer.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -70,28 +69,23 @@ Linearized linearize_trees(const std::vector<const ds::Tree*>& trees,
   traversal.reserve(static_cast<std::size_t>(total_nodes));
   height_of.reserve(static_cast<std::size_t>(total_nodes));
   std::int32_t max_h = 0;
-  // Plain recursion (no std::function indirection): this traversal is the
-  // dominant term of the µs-scale linearization cost.
-  struct Walker {
-    std::vector<const ds::TreeNode*>& traversal;
-    std::vector<std::int32_t>& height_of;
-    std::int32_t max_h = 0;
-    std::int32_t visit(const ds::TreeNode* n) {
+  // A node's height needs its children's, which post-order visits first;
+  // their traversal indices sit in their scratch slots by then.
+  for (const ds::Tree* t : trees) {
+    tree_roots.push_back(t->root());
+    ds::for_each_post_order(t->root(), [&](const ds::TreeNode* n) {
       std::int32_t h = 0;
-      if (!n->is_leaf()) h = 1 + std::max(visit(n->left), visit(n->right));
+      if (!n->is_leaf())
+        h = 1 + std::max(
+                    height_of[static_cast<std::size_t>(n->left->lin_scratch)],
+                    height_of[static_cast<std::size_t>(
+                        n->right->lin_scratch)]);
       n->lin_scratch = static_cast<std::int32_t>(traversal.size());
       traversal.push_back(n);
       height_of.push_back(h);
       max_h = std::max(max_h, h);
-      return h;
-    }
-  };
-  Walker walker{traversal, height_of};
-  for (const ds::Tree* t : trees) {
-    tree_roots.push_back(t->root());
-    walker.visit(t->root());
+    });
   }
-  max_h = walker.max_h;
 
   // Pass 2: Appendix-B numbering — hand out consecutive ids from the
   // tallest height group down to the leaves (counting sort by height).

@@ -137,20 +137,6 @@ void CompiledEltwise::compile(const ra::Expr& e) {
   }
 }
 
-float CompiledEltwise::eval(
-    std::int64_t i, const std::vector<const float*>& ins,
-    const std::map<std::string, const float*>& params) const {
-  // Resolve param pointers, then defer to the pointer form.
-  const float* param_ptrs[kMaxEltParams] = {nullptr};
-  for (std::size_t k = 0; k < param_names_.size(); ++k) {
-    auto it = params.find(param_names_[k]);
-    CORTEX_CHECK(it != params.end())
-        << "eltwise references unbound param " << param_names_[k];
-    param_ptrs[k] = it->second;
-  }
-  return eval(i, ins.data(), param_ptrs);
-}
-
 float CompiledEltwise::eval(std::int64_t i, const float* const* ins,
                             const float* const* params) const {
   float stack[kMaxStackDepth];
@@ -407,10 +393,21 @@ void CellProgram::validate() const {
   CORTEX_CHECK(!internal_ops.empty()) << "cell has no internal program";
   const auto widths = register_widths();
   for (const auto* ops : {&leaf_ops, &internal_ops}) {
-    for (const CellOp& op : *ops)
+    for (const CellOp& op : *ops) {
       for (const std::string& in : op.ins)
         CORTEX_CHECK(widths.count(in) > 0)
             << "op " << op.out << " reads undefined register " << in;
+      if (op.kind != CellOpKind::kEltwise) continue;
+      // Panel evaluation addresses input element (r, i) at r*width + i
+      // and binds inputs through a fixed-size pointer table.
+      CORTEX_CHECK(op.ins.size() <= kMaxEltParams)
+          << "eltwise op " << op.out << " has more than " << kMaxEltParams
+          << " inputs";
+      for (const std::string& in : op.ins)
+        CORTEX_CHECK(widths.at(in) == op.width)
+            << "eltwise op " << op.out << " reads register " << in << " ("
+            << widths.at(in) << " wide) but writes " << op.width;
+    }
     if (!ops->empty()) {
       const CellOp& last = ops->back();
       CORTEX_CHECK(last.width == state_width)
@@ -473,8 +470,7 @@ namespace {
 
 /// Executes one cell op. `elt_params` holds the eltwise op's param
 /// pointers, pre-resolved in param_names() order; `elt_ins` and `stacked`
-/// are hoisted per-op scratch buffers, so the loop allocates nothing once
-/// they have grown.
+/// are reused scratch buffers.
 void exec_op(const CellOp& op, const CompiledEltwise* compiled,
              const float* const* elt_params, const ModelParams& params,
              const std::vector<const float*>& child_states,
@@ -602,33 +598,24 @@ void CellExecutor::run_ops(const std::vector<CellOp>& ops,
                            const std::vector<CompiledEltwise>& compiled,
                            const std::vector<std::vector<const float*>>& eparams,
                            const std::vector<const float*>& child_states,
-                           std::int32_t word, float* out_state,
-                           Scratch& scratch) const {
+                           std::int32_t word, float* out_state) {
   for (std::size_t k = 0; k < ops.size(); ++k) {
     const bool is_elt = ops[k].kind == CellOpKind::kEltwise;
-    exec_op(ops[k], is_elt ? &compiled[k] : nullptr,
-            eparams[k].data(), params_, child_states, word, scratch.regs,
-            scratch.elt_ins, scratch.stacked, out_state, cell_.state_width,
-            k + 1 == ops.size());
+    exec_op(ops[k], is_elt ? &compiled[k] : nullptr, eparams[k].data(),
+            params_, child_states, word, regs_, elt_ins_, stacked_,
+            out_state, cell_.state_width, k + 1 == ops.size());
   }
 }
 
 void CellExecutor::run_node(bool leaf,
                             const std::vector<const float*>& child_states,
                             std::int32_t word, float* out_state) {
-  run_node(leaf, child_states, word, out_state, regs_);
-}
-
-void CellExecutor::run_node(bool leaf,
-                            const std::vector<const float*>& child_states,
-                            std::int32_t word, float* out_state,
-                            Scratch& scratch) const {
   if (leaf && !cell_.leaf_ops.empty())
     run_ops(cell_.leaf_ops, leaf_compiled_, leaf_eparams_, child_states,
-            word, out_state, scratch);
+            word, out_state);
   else
     run_ops(cell_.internal_ops, internal_compiled_, internal_eparams_,
-            child_states, word, out_state, scratch);
+            child_states, word, out_state);
 }
 
 // ---------------------------------------------------------------------------
@@ -638,6 +625,7 @@ void CellExecutor::run_node(bool leaf,
 BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
                                          const ModelParams& params)
     : cell_(cell), params_(params) {
+  cell.validate();
   // Flat register layout: every register of the (merged leaf + internal)
   // program gets an index and a row-width offset into the arena. The map
   // is ordered, so the layout is deterministic.
@@ -647,19 +635,8 @@ BatchedCellExecutor::BatchedCellExecutor(const CellProgram& cell,
     reg_offset_.push_back(total_width_);
     total_width_ += w;
   }
-  // Panel lowering enforces stricter invariants than per-node execution
-  // (see the class comment); a cell that only the per-node path can run
-  // must not fail engine construction, so lowering failure just leaves
-  // the executor unsupported.
-  try {
-    leaf_bops_ = compile_ops(cell.leaf_ops);
-    internal_bops_ = compile_ops(cell.internal_ops);
-    supported_ = true;
-  } catch (const Error&) {
-    leaf_bops_.clear();
-    internal_bops_.clear();
-    supported_ = false;
-  }
+  leaf_bops_ = compile_ops(cell.leaf_ops);
+  internal_bops_ = compile_ops(cell.internal_ops);
 }
 
 std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
@@ -674,20 +651,12 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
     b.child = op.child;
     b.offset = op.offset;
     b.constant = static_cast<float>(op.constant);
-    b.is_last = n + 1 == ops.size();
     // The last op writes straight into the caller's [rows, state_width]
-    // destination; any other width would stride into other nodes' rows
-    // (the per-node path checks the same thing at run time).
-    CORTEX_CHECK(!b.is_last || op.width == cell_.state_width)
-        << "last op width " << op.width << " != state width "
-        << cell_.state_width;
+    // destination; validate() pinned its width to the state's.
+    b.is_last = n + 1 == ops.size();
     b.out_reg = reg_index_.at(op.out);
-    for (const std::string& in : op.ins) {
-      auto it = reg_index_.find(in);
-      CORTEX_CHECK(it != reg_index_.end())
-          << "op " << op.out << " reads undefined register " << in;
-      b.in_regs.push_back(it->second);
-    }
+    for (const std::string& in : op.ins)
+      b.in_regs.push_back(reg_index_.at(in));
     switch (op.kind) {
       case CellOpKind::kLeafEmbed: {
         b.param = params_.at(op.param);
@@ -722,18 +691,8 @@ std::vector<BatchedCellExecutor::BatchedOp> BatchedCellExecutor::compile_ops(
         break;
       }
       case CellOpKind::kEltwise: {
+        // Input count and widths were checked by CellProgram::validate().
         b.compiled = CompiledEltwise(op.expr);
-        CORTEX_CHECK(op.ins.size() <= kMaxEltParams)
-            << "eltwise op " << op.out << " has too many inputs";
-        // Panel evaluation addresses input element (r, i) at r*width + i,
-        // which requires every input panel to share the op's width (true
-        // for every gate/eltwise op in the zoo; per-node execution only
-        // needs width(in) >= width(out)).
-        for (const int in : b.in_regs)
-          CORTEX_CHECK(reg_width_[static_cast<std::size_t>(in)] == op.width)
-              << "eltwise op " << op.out
-              << " input width != output width (unsupported in batched "
-                 "execution)";
         for (const std::string& pn : b.compiled.param_names())
           b.eparams.push_back(params_.at(pn).data());
         break;
@@ -759,8 +718,6 @@ void BatchedCellExecutor::run_batch(bool leaf, std::int64_t rows,
                                     const float* states, float* out,
                                     Panels& p) const {
   if (rows <= 0) return;
-  CORTEX_CHECK(supported_)
-      << "run_batch called on an unsupported BatchedCellExecutor";
   // Mirror run_node's branch selection: a model without a leaf program
   // runs its single formula at leaves too (DAG-RNN).
   const std::vector<BatchedOp>& bops =

@@ -62,11 +62,6 @@ class CompiledEltwise {
   float eval(std::int64_t i, const float* const* ins,
              const float* const* params) const;
 
-  /// Evaluates at element i with inputs ins[j][i]; params resolved by
-  /// name through `params` (1-D tensors). Convenience/reference form.
-  float eval(std::int64_t i, const std::vector<const float*>& ins,
-             const std::map<std::string, const float*>& params) const;
-
   /// Evaluates the expression over a whole [rows, width] panel:
   /// out[r*width + i] = expr(ins[j][r*width + i], params[k][i]). The
   /// interpreter is strip-mined so each instruction runs over a vector of
@@ -127,7 +122,9 @@ struct CellProgram {
   std::int64_t internal_flops() const;
   /// Sum of per-node flops over leaf ops.
   std::int64_t leaf_flops() const;
-  /// Validates register/width consistency; throws on error.
+  /// Validates register/width consistency, including the invariants panel
+  /// execution relies on (every eltwise input register exactly as wide as
+  /// the op's output, at most 8 eltwise inputs); throws on error.
   void validate() const;
 };
 
@@ -149,35 +146,19 @@ struct ModelParams {
   std::int64_t elems(const std::string& name) const;
 };
 
-/// Pre-compiled eltwise cache for hot loops (keyed by op pointer).
-///
-/// After construction the executor is read-only, so any number of threads
-/// may call the Scratch-taking run_node overload concurrently as long as
-/// each thread passes its own Scratch (the parallel wavefront executor
-/// keeps one per pool worker). The scratch-free overload uses a built-in
-/// Scratch and is therefore single-threaded.
+/// Per-node cell executor: runs one node's cell program at a time over
+/// named registers. The numeric reference that the baseline frameworks
+/// (baselines::compute_states) and the tests walk node by node; the
+/// Cortex engine runs BatchedCellExecutor, which matches it bit for bit.
+/// Holds its register scratch inside, so one executor serves one thread.
 class CellExecutor {
  public:
-  /// Mutable state for one in-flight run_node call, reused across calls so
-  /// the per-node hot loop performs no heap allocation: the named register
-  /// buffers plus the hoisted per-op scratch (eltwise input-pointer list,
-  /// kMatStack2 vstack buffer) that used to be allocated per call.
-  struct Scratch {
-    std::map<std::string, std::vector<float>> regs;
-    std::vector<const float*> elt_ins;
-    std::vector<float> stacked;
-  };
-
   CellExecutor(const CellProgram& cell, const ModelParams& params);
 
-  /// Executes one node's cell program natively (the shared per-node
-  /// numeric kernel). `child_states` holds num_children pointers to state
-  /// vectors (may be empty for leaves).
+  /// Executes one node's cell program natively. `child_states` holds
+  /// num_children pointers to state vectors (may be empty for leaves).
   void run_node(bool leaf, const std::vector<const float*>& child_states,
                 std::int32_t word, float* out_state);
-  /// Thread-safe variant: all mutable state lives in `scratch`.
-  void run_node(bool leaf, const std::vector<const float*>& child_states,
-                std::int32_t word, float* out_state, Scratch& scratch) const;
 
   const CellProgram& cell() const { return cell_; }
   const ModelParams& params() const { return params_; }
@@ -187,7 +168,7 @@ class CellExecutor {
                const std::vector<CompiledEltwise>& compiled,
                const std::vector<std::vector<const float*>>& eparams,
                const std::vector<const float*>& child_states,
-               std::int32_t word, float* out_state, Scratch& scratch) const;
+               std::int32_t word, float* out_state);
 
   const CellProgram& cell_;
   const ModelParams& params_;
@@ -197,7 +178,12 @@ class CellExecutor {
   /// CompiledEltwise::param_names()); empty vectors for non-eltwise ops.
   std::vector<std::vector<const float*>> leaf_eparams_;
   std::vector<std::vector<const float*>> internal_eparams_;
-  Scratch regs_;
+  /// Reused across run_node calls so the per-node loop allocates nothing
+  /// once grown: the named register buffers, the eltwise input-pointer
+  /// list and the kMatStack2 vstack buffer.
+  std::map<std::string, std::vector<float>> regs_;
+  std::vector<const float*> elt_ins_;
+  std::vector<float> stacked_;
 };
 
 /// Batched wavefront executor: runs one cell program over a whole dynamic
@@ -230,17 +216,9 @@ class BatchedCellExecutor {
     std::int64_t max_panel_rows = 0;  ///< largest panel row count
   };
 
-  /// Never throws for shapes the per-node path accepts: panel execution
-  /// needs strictly more than per-node execution does (e.g. eltwise input
-  /// registers exactly as wide as the output, <= 8 eltwise inputs), so a
-  /// cell that violates a panel-only invariant — or whose params are
-  /// malformed — just marks the executor unsupported() and callers fall
-  /// back to per-node execution (which raises the reference diagnostics).
+  /// Throws cortex::Error when the cell fails CellProgram::validate() or
+  /// a weight it reads is missing or misshapen.
   BatchedCellExecutor(const CellProgram& cell, const ModelParams& params);
-
-  /// False when the cell program cannot run as panels; run_batch must
-  /// not be called then (the engine falls back to the per-node path).
-  bool supported() const { return supported_; }
 
   /// Executes the leaf or internal program for `rows` consecutively
   /// numbered nodes. `words` holds the per-row word ids; `child_offsets`
@@ -297,7 +275,6 @@ class BatchedCellExecutor {
   std::int64_t total_width_ = 0;
   std::vector<BatchedOp> leaf_bops_;
   std::vector<BatchedOp> internal_bops_;
-  bool supported_ = false;
 };
 
 }  // namespace cortex::models

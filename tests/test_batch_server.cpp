@@ -6,9 +6,9 @@
 // serving semantics themselves: coalescing under the latency budget,
 // pass-through at max_batch=1, deadline expiry without occupying a batch
 // slot, backpressure (reject and block policies), shutdown draining,
-// structure-kind admission checks, DAG multi-sink demux, option
-// defaults, and metrics consistency. Runs in CI under ASan/UBSan and TSan
-// via the `serving` ctest label.
+// structure-kind admission checks, a structure deeper than any call
+// stack, DAG multi-sink demux, option defaults, and metrics consistency.
+// Runs in CI under ASan/UBSan and TSan via the `serving` ctest label.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "baselines/common.hpp"
+#include "baselines/eager.hpp"
 #include "ds/generators.hpp"
 #include "exec/batch_server.hpp"
 #include "models/model_zoo.hpp"
@@ -113,7 +114,7 @@ TEST_P(ServerZoo, PerRequestStatesBitIdenticalToDirectPoolRun) {
 
   for (const int workers : {1, 4}) {
     EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                    EnginePoolOptions{workers, 1, 1});
+                    EnginePoolOptions{workers});
     for (const int clients : {1, 8}) {
       SCOPED_TRACE(def.name + " workers " + std::to_string(workers) +
                    " clients " + std::to_string(clients));
@@ -196,7 +197,7 @@ TEST(BatchServerCoalesce, QueuedRequestsFormOneBatch) {
   Rng prng(3);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 6, 77);
   const auto expected = reference_slices(pool, def, b);
 
@@ -241,7 +242,7 @@ TEST(BatchServerCoalesce, MaxBatchOneIsPassThrough) {
   Rng prng(4);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 5, 78);
   const auto expected = reference_slices(pool, def, b);
 
@@ -272,7 +273,7 @@ TEST(BatchServerDeadline, ExpiredRequestSkipsTheBatchAndReportsMiss) {
   Rng prng(5);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 2, 79);
   const auto expected = reference_slices(pool, def, b);
 
@@ -314,7 +315,7 @@ TEST(BatchServerBackpressure, RejectPolicyFailsFastWhenFull) {
   Rng prng(6);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 80);
 
   BatchServerOptions opts;
@@ -346,7 +347,7 @@ TEST(BatchServerBackpressure, BlockPolicyWaitsForSpace) {
   Rng prng(7);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 81);
 
   BatchServerOptions opts;
@@ -378,7 +379,7 @@ TEST(BatchServerShutdown, QueuedRequestsFailAndNewSubmitsAreTurnedAway) {
   Rng prng(8);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   const Batch b = make_batch(def, 3, 82);
 
   BatchServerOptions opts;
@@ -402,7 +403,7 @@ TEST(BatchServerShutdown, StartedServerDrainsAcceptedRequestsOnShutdown) {
   Rng prng(9);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
   const Batch b = make_batch(def, 6, 83);
   const auto expected = reference_slices(pool, def, b);
 
@@ -429,7 +430,7 @@ TEST(BatchServerAdmission, StructureKindMismatchFailsOnlyThatRequest) {
   const models::ModelDef tree_def = tree_model();
   const models::ModelParams tree_params = models::init_params(tree_def, prng);
   EnginePool tree_pool(tree_def, tree_params, ra::Schedule{}, gpu(),
-                       EnginePoolOptions{1, 1, 1});
+                       EnginePoolOptions{1});
   BatchServer tree_server(tree_pool, {});
   auto dag = ds::make_grid_dag(3, 3, prng);
   const ServedResult r = tree_server.submit(dag.get()).get();
@@ -439,7 +440,7 @@ TEST(BatchServerAdmission, StructureKindMismatchFailsOnlyThatRequest) {
   const models::ModelDef dag_def = models::make_dagrnn(16);
   const models::ModelParams dag_params = models::init_params(dag_def, prng);
   EnginePool dag_pool(dag_def, dag_params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{1, 1, 1});
+                      EnginePoolOptions{1});
   BatchServer dag_server(dag_pool, {});
   auto tree = ds::make_random_parse_tree(4, prng);
   const ServedResult r2 = dag_server.submit(tree.get()).get();
@@ -452,7 +453,7 @@ TEST(BatchServerAdmission, MalformedStructureFailsFastUnderValidation) {
   Rng prng(11);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   BatchServerOptions opts;
   opts.autostart = false;  // proof the rejection needs no dispatcher
   BatchServer server(pool, opts);
@@ -467,6 +468,25 @@ TEST(BatchServerAdmission, MalformedStructureFailsFastUnderValidation) {
   EXPECT_EQ(server.metrics().failed, 1);
 }
 
+TEST(BatchServerAdmission, DeepChainIsServedWithoutRecursion) {
+  // A 50,000-step sequence is a 99,999-node left-deep tree, far deeper
+  // than any call stack: validation, linearization and the eager oracle
+  // all walk it with explicit stacks.
+  const models::ModelDef def = models::make_seq_lstm(16);
+  Rng prng(14);
+  const models::ModelParams params = models::init_params(def, prng);
+  auto chain = ds::make_chain_tree(50000, prng);
+  ASSERT_EQ(chain->num_nodes(), 99999);
+  EXPECT_EQ(chain->height(), 49999);
+  EnginePool pool(def, params, ra::Schedule{}, gpu(), EnginePoolOptions{1});
+  BatchServer server(pool, {});
+  const ServedResult r = server.submit(chain.get()).get();
+  ASSERT_EQ(r.status, RequestStatus::kOk) << r.error;
+  baselines::EagerEngine eager(def, params, gpu());
+  EXPECT_EQ(r.root_states,
+            eager.run(std::vector<const ds::Tree*>{chain.get()}).root_states);
+}
+
 // -- DAG demux ----------------------------------------------------------------
 
 TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
@@ -474,7 +494,7 @@ TEST(BatchServerDag, MultiSinkDagGetsOneRootStatePerSink) {
   Rng prng(12);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{2, 1, 1});
+                  EnginePoolOptions{2});
 
   // Node 0 feeds sinks 1 and 2; node 3 is isolated (leaf and sink): three
   // sinks total, so the request owns three root states.
@@ -518,7 +538,7 @@ TEST(BatchServerEnv, DefaultsComeFromEnvironment) {
   Rng prng(13);
   const models::ModelParams params = models::init_params(def, prng);
   EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                  EnginePoolOptions{1, 1, 1});
+                  EnginePoolOptions{1});
   BatchServerOptions opts;
   opts.autostart = false;
   BatchServer server(pool, opts);

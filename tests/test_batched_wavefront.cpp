@@ -1,7 +1,7 @@
-// Batched wavefront executor: the per-node path (an engine whose schedule
-// turns dynamic batching off) is the regression oracle — every node state
-// must be bit-identical to the panel-GEMM path across the model zoo,
-// schedules, batch sizes and thread counts. Plus the kernel-level
+// Batched wavefront executor: a per-node models::CellExecutor walk over
+// the linearization's execution order is the regression oracle — every
+// node state the engine computes must be bit-identical to it across the
+// model zoo, schedules, batch sizes and thread counts. Plus the kernel-level
 // contracts the executor is built on (panel GEMM == per-row GEMV bitwise,
 // strided gather, weight packing, vectorized eltwise == scalar eltwise),
 // the profiler's panel counters, and EnginePool parity with batching
@@ -27,12 +27,28 @@ namespace {
 
 runtime::DeviceSpec gpu() { return runtime::DeviceSpec::v100_gpu(); }
 
-/// `s` with dynamic batching off: an engine compiled under it walks the
-/// nodes serially through the per-node cell executor, the oracle the
-/// batched wavefront executor must match bit for bit.
+/// `s` with dynamic batching off: the engine still runs panels; only its
+/// modeled device accounting turns per node.
 ra::Schedule per_node(ra::Schedule s) {
   s.dynamic_batching = false;
   return s;
+}
+
+/// Every node state from the per-node reference executor: the oracle the
+/// engine must match.
+std::vector<float> reference_states(const models::ModelDef& def,
+                                    const models::ModelParams& params,
+                                    const linearizer::Linearized& lin) {
+  models::CellExecutor exec(def.cell, params);
+  Tensor states = Tensor::zeros(Shape{lin.num_nodes, def.cell.state_width});
+  baselines::node_states(exec, lin, states);
+  return std::vector<float>(states.data(), states.data() + states.numel());
+}
+
+/// Bitwise equality (memcmp), so -0.0f vs +0.0f and NaN payloads count.
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 linearizer::Linearized lin_for(const models::ModelDef& def,
@@ -57,10 +73,9 @@ linearizer::Linearized lin_for(const models::ModelDef& def,
   return linearizer::linearize_trees(baselines::raw(trees), spec);
 }
 
-std::vector<ra::Schedule> schedules_for(const models::ModelDef& def) {
-  (void)def;
+std::vector<ra::Schedule> schedules() {
   return {ra::Schedule{}, ra::Schedule::unoptimized(),
-          ra::Schedule::cavs_comparable()};
+          ra::Schedule::cavs_comparable(), per_node(ra::Schedule{})};
 }
 
 std::vector<float> all_states(const CortexEngine& engine,
@@ -71,67 +86,66 @@ std::vector<float> all_states(const CortexEngine& engine,
       engine.last_states().data() + lin.num_nodes * state_width);
 }
 
-// -- differential battery: batched vs per-node across the zoo ---------------------
+// -- differential battery: engine vs per-node reference across the zoo -------
 
+/// Instance i covers zoo models i and i + 8, so eight instances span all
+/// fourteen.
 class BatchedZoo : public ::testing::TestWithParam<int> {
  protected:
-  models::ModelDef def() const {
-    switch (GetParam()) {
-      case 0: return models::make_treernn_fig1(16);
-      case 1: return models::make_treefc_embed(16);
-      case 2: return models::make_treegru_embed(16);
-      case 3: return models::make_treelstm_embed(16);
-      case 4: return models::make_mvrnn(8);
-      case 5: return models::make_dagrnn(16);
-      case 6: return models::make_seq_lstm(16);
-      default: return models::make_treernn(16);
+  std::vector<models::ModelDef> defs() const {
+    std::vector<models::ModelDef> out;
+    for (const int m : {GetParam(), GetParam() + 8}) {
+      switch (m) {
+        case 0: out.push_back(models::make_treernn_fig1(16)); break;
+        case 1: out.push_back(models::make_treefc_embed(16)); break;
+        case 2: out.push_back(models::make_treegru_embed(16)); break;
+        case 3: out.push_back(models::make_treelstm_embed(16)); break;
+        case 4: out.push_back(models::make_mvrnn(8)); break;
+        case 5: out.push_back(models::make_dagrnn(16)); break;
+        case 6: out.push_back(models::make_seq_lstm(16)); break;
+        case 7: out.push_back(models::make_treernn(16)); break;
+        case 8: out.push_back(models::make_treefc(16)); break;
+        case 9: out.push_back(models::make_treegru(16)); break;
+        case 10: out.push_back(models::make_simple_treegru(16)); break;
+        case 11: out.push_back(models::make_treelstm(16)); break;
+        case 12: out.push_back(models::make_treernn_zeroleaf(16)); break;
+        case 13: out.push_back(models::make_seq_gru(16)); break;
+        default: break;
+      }
     }
+    return out;
   }
 };
 
 TEST_P(BatchedZoo, BatchedMatchesPerNodeBitwiseAcrossSchedulesAndThreads) {
-  const models::ModelDef def = this->def();
-  Rng rng(101);
-  const models::ModelParams params = models::init_params(def, rng);
-
-  for (const ra::Schedule& sched : schedules_for(def)) {
-    CortexEngine engine(def, params, sched, gpu());
-    CortexEngine reference(def, params, per_node(sched), gpu());
-    for (const std::int64_t batch : {0, 1, 2, 5, 13}) {
-      if (batch == 0) {
-        // Empty mini-batch: both paths must return an empty result.
-        EXPECT_TRUE(reference.run_linearized(linearizer::Linearized{}, 0.0)
-                        .root_states.empty());
-        EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
-                        .root_states.empty());
-        continue;
-      }
-      const linearizer::Linearized lin =
-          lin_for(def, batch, 101 + static_cast<std::uint64_t>(batch));
-      const runtime::RunResult ref = reference.run_linearized(lin, 0.0);
-      const std::vector<float> ref_states =
-          all_states(reference, lin, def.cell.state_width);
-      // The reference really takes the per-node path.
-      EXPECT_EQ(ref.profiler.batched_gemm_calls, 0);
-      EXPECT_EQ(ref.profiler.batched_panels, 0);
-      EXPECT_EQ(ref.profiler.max_panel_rows, 0);
-      for (const int threads : {1, 4}) {
-        engine.set_num_threads(threads);
-        const runtime::RunResult batched = engine.run_linearized(lin, 0.0);
-        const std::vector<float> batched_states =
-            all_states(engine, lin, def.cell.state_width);
-
-        EXPECT_EQ(batched.root_states, ref.root_states)
-            << def.name << " batch=" << batch << " threads=" << threads;
-        // Stronger than roots: every node state bit-identical.
-        EXPECT_EQ(batched_states, ref_states)
-            << def.name << " batch=" << batch << " threads=" << threads;
-        if (engine.plan().dynamic_batching) {
-          EXPECT_GT(batched.profiler.batched_panels, 0);
-          EXPECT_LE(batched.profiler.max_panel_rows, lin.max_batch_length());
+  for (const models::ModelDef& def : defs()) {
+    Rng rng(101);
+    const models::ModelParams params = models::init_params(def, rng);
+    for (const ra::Schedule& sched : schedules()) {
+      CortexEngine engine(def, params, sched, gpu());
+      for (const std::int64_t batch : {0, 1, 2, 5, 13}) {
+        if (batch == 0) {
+          // Empty mini-batch: an empty result.
+          EXPECT_TRUE(engine.run_linearized(linearizer::Linearized{}, 0.0)
+                          .root_states.empty());
+          continue;
+        }
+        const linearizer::Linearized lin =
+            lin_for(def, batch, 101 + static_cast<std::uint64_t>(batch));
+        const std::vector<float> ref = reference_states(def, params, lin);
+        for (const int threads : {1, 4}) {
+          engine.set_num_threads(threads);
+          const runtime::RunResult got = engine.run_linearized(lin, 0.0);
+          // Every node state bit-identical, not only the roots.
+          EXPECT_TRUE(same_bits(all_states(engine, lin, def.cell.state_width),
+                                ref))
+              << def.name << " " << ra::to_string(sched)
+              << " batch=" << batch << " threads=" << threads;
+          EXPECT_GT(got.profiler.batched_panels, 0);
+          EXPECT_LE(got.profiler.max_panel_rows, lin.max_batch_length());
           if (engine.plan().host_panel_gemms_internal > 0 &&
               lin.num_batches() > 1) {
-            EXPECT_GT(batched.profiler.batched_gemm_calls, 0);
+            EXPECT_GT(got.profiler.batched_gemm_calls, 0);
           }
         }
       }
@@ -207,9 +221,9 @@ TEST(BatchedProfile, ThrowingRunDoesNotLeakStatsIntoNextRun) {
   EXPECT_EQ(after.root_states, good.root_states);
 }
 
-// -- non-dynamic-batching schedules never touch the batched path ------------------
+// -- every schedule runs panels; the schedule flag is modeled-only -----------
 
-TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
+TEST(BatchedDispatch, NoDynamicBatchingRunsPanelsAndAccountsPerNode) {
   const models::ModelDef def = models::make_treelstm_embed(16);
   Rng rng(11);
   const models::ModelParams params = models::init_params(def, rng);
@@ -217,23 +231,35 @@ TEST(BatchedDispatch, NoDynamicBatchingFallsBackToPerNode) {
 
   CortexEngine unbatched(def, params, per_node(ra::Schedule{}), gpu());
   const runtime::RunResult r = unbatched.run_linearized(lin, 0.0);
-  EXPECT_EQ(r.profiler.batched_gemm_calls, 0);
-  EXPECT_EQ(r.profiler.batched_panels, 0);
+  EXPECT_GT(r.profiler.batched_panels, 0);
+  EXPECT_GT(r.profiler.batched_gemm_calls, 0);
+  EXPECT_TRUE(same_bits(all_states(unbatched, lin, def.cell.state_width),
+                        reference_states(def, params, lin)));
 
   // Same numerics as the dynamic-batching engine, bit for bit.
   CortexEngine batched(def, params, ra::Schedule{}, gpu());
   const runtime::RunResult rb = batched.run_linearized(lin, 0.0);
-  EXPECT_EQ(rb.root_states, r.root_states);
+  EXPECT_TRUE(same_bits(all_states(batched, lin, def.cell.state_width),
+                        all_states(unbatched, lin, def.cell.state_width)));
+
+  // The modeled device still launches per node: one launch per kernel
+  // template of each node's step, in topological order.
+  std::int64_t per_node_launches = 0;
+  for (const std::int32_t id : lin.exec_order)
+    per_node_launches += static_cast<std::int64_t>(
+        (lin.is_leaf(id) ? unbatched.plan().leaf_step
+                         : unbatched.plan().internal_step)
+            .size());
+  EXPECT_EQ(r.profiler.kernel_launches, per_node_launches);
+  EXPECT_LT(rb.profiler.kernel_launches, r.profiler.kernel_launches);
 }
 
-// -- panel-incompatible cells fall back, not fail ---------------------------------
+// -- panel-incompatible cells are malformed cells -----------------------------
 
-TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
-  // An eltwise op reading a register WIDER than its output is legal for
-  // per-node execution (it reads the first op.width elements) but has no
-  // panel layout. Engine construction must succeed under a dynamic-
-  // batching schedule, and runs must take the per-node path — here its
-  // parallel branch, with wavefronts split across four threads.
+TEST(BatchedDispatch, PanelIncompatibleCellIsRejected) {
+  // An eltwise op reading a register WIDER than its output has no panel
+  // layout (element (r, i) of every input must sit at r*width + i), so
+  // the cell fails validation and no engine is built for it.
   models::ModelDef def;
   def.name = "WideEltwiseCell";
   def.hidden = 8;
@@ -262,25 +288,21 @@ TEST(BatchedDispatch, PanelIncompatibleCellFallsBackToPerNode) {
   leaf.width = 8;
   leaf.constant = 0.25;
   def.cell.leaf_ops = {leaf};
-  def.cell.validate();
 
+  EXPECT_THROW(def.cell.validate(), Error);
   models::ModelParams params;  // the cell reads no params
-  const models::BatchedCellExecutor direct(def.cell, params);
-  EXPECT_FALSE(direct.supported());
+  EXPECT_THROW(models::BatchedCellExecutor(def.cell, params), Error);
+  EXPECT_THROW(CortexEngine(def, params, ra::Schedule{}, gpu()), Error);
 
-  Rng rng(31);
-  auto trees = ds::make_sst_like_batch(2, rng);
-  const std::vector<const ds::Tree*> raw = baselines::raw(trees);
-  CortexEngine engine(def, params, ra::Schedule{}, gpu());
-  engine.set_num_threads(4);
-  const runtime::RunResult got = engine.run(raw);
-  EXPECT_EQ(got.profiler.batched_panels, 0);
-  EXPECT_EQ(got.profiler.batched_gemm_calls, 0);
-  EXPECT_GT(got.profiler.parallel_batches, 0);
-
-  CortexEngine reference(def, params, per_node(ra::Schedule{}), gpu());
-  const runtime::RunResult ref = reference.run(raw);
-  EXPECT_EQ(got.root_states, ref.root_states);
+  // More than eight eltwise inputs is the other panel-only bound.
+  half.width = 8;
+  half.ins.assign(9, "a");
+  def.cell.internal_ops = {full, half};
+  EXPECT_THROW(def.cell.validate(), Error);
+  EXPECT_THROW(CortexEngine(def, params, ra::Schedule{}, gpu()), Error);
+  half.ins.assign(8, "a");
+  def.cell.internal_ops = {full, half};
+  EXPECT_NO_THROW(def.cell.validate());
 }
 
 // -- engine pool parity with batching enabled -------------------------------------

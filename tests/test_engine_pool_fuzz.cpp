@@ -1,6 +1,6 @@
 // Shard-boundary fuzzing (test_schedule_fuzz style, aimed at the pool):
-// randomized — seeded and logged, so any failure replays — batch sizes,
-// worker counts and shard floors, asserting (a) the sharding plan never
+// randomized — seeded and logged, so any failure replays — batch sizes
+// and worker counts, asserting (a) the sharding plan never
 // drops, duplicates or reorders an index, and (b) end-to-end pooled
 // outputs equal the single-engine reference element-for-element. Leaf
 // words are distinct across the batch, so a dropped/duplicated/reordered
@@ -29,18 +29,19 @@ TEST(EnginePoolFuzz, ShardPlanNeverDropsDuplicatesOrReorders) {
   for (int iter = 0; iter < 600; ++iter) {
     const std::int64_t batch = static_cast<std::int64_t>(rng.next_below(2001));
     const int workers = static_cast<int>(1 + rng.next_below(16));
-    const std::int64_t floor = static_cast<std::int64_t>(1 + rng.next_below(8));
     SCOPED_TRACE("iter " + std::to_string(iter) + " batch " +
                  std::to_string(batch) + " workers " +
-                 std::to_string(workers) + " floor " + std::to_string(floor));
+                 std::to_string(workers));
 
-    const auto shards = EnginePool::shard_plan(batch, workers, floor);
+    const auto shards = EnginePool::shard_plan(batch, workers);
     if (batch == 0) {
       EXPECT_TRUE(shards.empty());
       continue;
     }
     ASSERT_FALSE(shards.empty());
-    EXPECT_LE(static_cast<int>(shards.size()), workers);
+    // One shard per worker while there are items enough for all.
+    EXPECT_EQ(static_cast<std::int64_t>(shards.size()),
+              std::min<std::int64_t>(batch, workers));
 
     // Exact, in-order cover of [0, batch): shard i starts where i-1
     // ended, every shard is non-empty, the last ends at batch. That is
@@ -58,13 +59,9 @@ TEST(EnginePoolFuzz, ShardPlanNeverDropsDuplicatesOrReorders) {
     EXPECT_EQ(covered, batch);
     // Near-even: sizes within 1 of each other.
     EXPECT_LE(largest - smallest, 1);
-    // The floor binds whenever the batch was actually split.
-    if (shards.size() > 1) {
-      EXPECT_GE(smallest, floor);
-    }
 
     // Determinism: the plan is a pure function of its arguments.
-    const auto replay = EnginePool::shard_plan(batch, workers, floor);
+    const auto replay = EnginePool::shard_plan(batch, workers);
     ASSERT_EQ(replay.size(), shards.size());
     for (std::size_t i = 0; i < shards.size(); ++i) {
       EXPECT_EQ(replay[i].begin, shards[i].begin);
@@ -73,7 +70,7 @@ TEST(EnginePoolFuzz, ShardPlanNeverDropsDuplicatesOrReorders) {
   }
 }
 
-// -- end-to-end: random (batch, workers, floor) vs single engine -----------
+// -- end-to-end: random (batch, workers) vs single engine ------------------
 
 TEST(EnginePoolFuzz, RandomizedPoolRunsMatchSingleEngineBitwise) {
   const models::ModelDef def = models::make_treefc_embed(8);
@@ -86,12 +83,10 @@ TEST(EnginePoolFuzz, RandomizedPoolRunsMatchSingleEngineBitwise) {
   for (int iter = 0; iter < 40; ++iter) {
     const std::int64_t batch = static_cast<std::int64_t>(rng.next_below(25));
     const int workers = static_cast<int>(1 + rng.next_below(6));
-    const std::int64_t floor = static_cast<std::int64_t>(1 + rng.next_below(4));
     const std::uint64_t seed = rng.next_u64();
     SCOPED_TRACE("iter " + std::to_string(iter) + " batch " +
                  std::to_string(batch) + " workers " +
-                 std::to_string(workers) + " floor " + std::to_string(floor) +
-                 " seed " + std::to_string(seed));
+                 std::to_string(workers) + " seed " + std::to_string(seed));
 
     // Distinct leaf words across the whole batch: tree j's outputs can
     // never equal tree k's, so any merge mix-up changes root_states.
@@ -121,7 +116,7 @@ TEST(EnginePoolFuzz, RandomizedPoolRunsMatchSingleEngineBitwise) {
     EXPECT_EQ(expected.size(), static_cast<std::size_t>(batch));
 
     EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                    EnginePoolOptions{workers, floor, 1});
+                    EnginePoolOptions{workers});
     const runtime::RunResult out = pool.run(raw);
     EXPECT_EQ(out.root_states, expected);
 

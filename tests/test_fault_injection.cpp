@@ -157,7 +157,7 @@ TEST(FaultInjectionTest, ProductionSitesAreRegistered) {
   // Reference a symbol from each hosting TU so the static-library link
   // cannot drop the object files (and with them the site registrations).
   (void)exec::JitCache::instance();
-  (void)exec::EnginePool::shard_plan(1, 1, 1);
+  (void)exec::EnginePool::shard_plan(1, 1);
   (void)exec::to_string(exec::RequestStatus::kOk);
 
   const auto sites = FaultInjector::instance().registered_sites();

@@ -36,9 +36,12 @@
 #include "models/model_zoo.hpp"
 #include "runtime/profiler.hpp"
 #include "support/fault_injection.hpp"
+#include "temp_dir.hpp"
 
 namespace cortex::exec {
 namespace {
+
+using testing_support::TempDir;
 
 using support::FaultInjector;
 
@@ -68,12 +71,8 @@ class EnvGuard {
 
 /// A fresh, private artifact directory: the sweep recompiles per site, so
 /// stale artifacts from a previous iteration must never satisfy a build.
-std::string fresh_cache_dir() {
-  char tmpl[] = "/tmp/cortex-fault-sweep-XXXXXX";
-  const char* d = mkdtemp(tmpl);
-  EXPECT_NE(d, nullptr);
-  return d != nullptr ? d : "/tmp/cortex-fault-sweep-fallback";
-}
+/// Removed when the returned object goes out of scope.
+TempDir fresh_cache_dir() { return TempDir("cortex-fault-sweep"); }
 
 bool is_dag(const models::ModelDef& def) {
   return def.model && def.model->kind == linearizer::StructureKind::kDag;
@@ -170,7 +169,7 @@ void sweep_site_over_zoo(
     std::vector<std::vector<std::vector<float>>> ref;
     {
       EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
-                          EnginePoolOptions{2, 1, 1});
+                          EnginePoolOptions{2});
       ref = reference_slices(ref_pool, def, batch);
     }
 
@@ -178,7 +177,7 @@ void sweep_site_over_zoo(
     std::vector<ServedResult> results;
     {
       EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
+                      EnginePoolOptions{2});
       BatchServer server(pool, server_opts());
       results = serve_batch(server, batch);
       if (extra_checks) extra_checks(def, server);
@@ -336,7 +335,8 @@ std::vector<std::string> stranded_files(const std::string& dir) {
 /// the next build must yield a kernel bit-identical to the interpreter.
 void sweep_jit_site(const std::string& site) {
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_cache_dir();
+  const TempDir tmp = fresh_cache_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   for (const models::ModelDef& def : mini_zoo()) {
     SCOPED_TRACE(site + " / " + def.name);
@@ -378,7 +378,8 @@ TEST(FaultSweep, CorruptArtifactReadQuarantinesRecompilesAndServes) {
   // then arm. The corrupt read fails the integrity check, the artifact is
   // quarantined, and the recompile produces a working kernel.
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_cache_dir();
+  const TempDir tmp = fresh_cache_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   for (const models::ModelDef& def : mini_zoo()) {
     SCOPED_TRACE(def.name);
@@ -414,7 +415,8 @@ TEST(FaultSweep, ServingNeverInvokesTheToolchain) {
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
   EnvGuard cc_env("CORTEX_JIT_CC");
   EnvGuard jit_env("CORTEX_JIT");
-  dir_env.set(fresh_cache_dir());
+  const TempDir tmp = fresh_cache_dir();
+  dir_env.set(tmp.path());
   cc_env.set("/bin/false");
   jit_env.set("1");
   Rng prng(53);
@@ -425,7 +427,7 @@ TEST(FaultSweep, ServingNeverInvokesTheToolchain) {
     std::vector<std::vector<std::vector<float>>> ref;
     {
       EnginePool ref_pool(def, params, ra::Schedule{}, gpu(),
-                          EnginePoolOptions{2, 1, 1});
+                          EnginePoolOptions{2});
       ref = reference_slices(ref_pool, def, batch);
     }
 
@@ -435,7 +437,7 @@ TEST(FaultSweep, ServingNeverInvokesTheToolchain) {
     std::vector<ServedResult> results;
     {
       EnginePool pool(def, params, ra::Schedule{}, gpu(),
-                      EnginePoolOptions{2, 1, 1});
+                      EnginePoolOptions{2});
       BatchServer server(pool, server_opts());
       results = serve_batch(server, batch);
       EXPECT_FALSE(server.health().degraded);

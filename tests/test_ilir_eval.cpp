@@ -23,16 +23,7 @@ Tensor reference_states(const models::ModelDef& def,
                         const linearizer::Linearized& lin) {
   models::CellExecutor exec(def.cell, params);
   Tensor states = Tensor::zeros(Shape{lin.num_nodes, def.cell.state_width});
-  std::vector<const float*> kids;
-  for (const std::int32_t id : lin.exec_order) {
-    const auto i = static_cast<std::size_t>(id);
-    kids.clear();
-    for (std::int32_t c = lin.child_offsets[i];
-         c < lin.child_offsets[i + 1]; ++c)
-      kids.push_back(states.row(lin.child_ids[static_cast<std::size_t>(c)]));
-    exec.run_node(lin.child_offsets[i] == lin.child_offsets[i + 1], kids,
-                  lin.word[i], states.row(id));
-  }
+  baselines::node_states(exec, lin, states);
   return states;
 }
 

@@ -29,9 +29,12 @@
 #include "runtime/device.hpp"
 #include "runtime/profiler.hpp"
 #include "support/logging.hpp"
+#include "temp_dir.hpp"
 
 namespace cortex::exec {
 namespace {
+
+using testing_support::TempDir;
 
 /// Guard: saves/restores one environment variable on scope exit.
 class EnvGuard {
@@ -58,15 +61,13 @@ class EnvGuard {
 
 /// One private artifact directory for the whole test binary, so disk
 /// counters are deterministic and parallel ctest jobs never share state.
+/// Removed at process exit.
 const std::string& test_cache_dir() {
-  static const std::string dir = [] {
-    char tmpl[] = "/tmp/cortex-jit-test-XXXXXX";
-    const char* d = mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    setenv("CORTEX_JIT_CACHE_DIR", d, 1);
-    return std::string(d ? d : "/tmp/cortex-jit-test-fallback");
-  }();
-  return dir;
+  static const TempDir dir("cortex-jit-test");
+  static const bool exported =
+      setenv("CORTEX_JIT_CACHE_DIR", dir.path().c_str(), 1) == 0;
+  EXPECT_TRUE(exported);
+  return dir.path();
 }
 
 std::vector<models::ModelDef> zoo() {
@@ -320,12 +321,7 @@ TEST(JitCacheTest, ToolchainFailureSurfacesAsError) {
 /// A fresh private artifact directory for one test (the shared
 /// test_cache_dir() would let other tests' artifacts interfere with
 /// directory-content assertions).
-std::string fresh_dir() {
-  char tmpl[] = "/tmp/cortex-jit-crash-XXXXXX";
-  const char* d = mkdtemp(tmpl);
-  EXPECT_NE(d, nullptr);
-  return d != nullptr ? d : "/tmp/cortex-jit-crash-fallback";
-}
+TempDir fresh_dir() { return TempDir("cortex-jit-crash"); }
 
 /// Runs the kernel and the interpreter over a small batch and requires
 /// bit-identical buffers — the "zero wrong answers" check every recovery
@@ -354,7 +350,8 @@ std::size_t count_quarantined(const std::string& dir) {
 
 TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
+  const TempDir tmp = fresh_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   const models::ModelDef def = models::make_treefc(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
@@ -394,7 +391,8 @@ TEST(JitCrashConsistency, TruncatedSharedObjectQuarantinesAndRecompiles) {
 
 TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
+  const TempDir tmp = fresh_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   const models::ModelDef def = models::make_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
@@ -427,7 +425,8 @@ TEST(JitCrashConsistency, GarbageSourceWithMatchingNameQuarantines) {
 
 TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
+  const TempDir tmp = fresh_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   const models::ModelDef def = models::make_simple_treegru(16);
   const lowering::LoweredModel lm = lowering::lower(*def.model, ra::Schedule{});
@@ -455,7 +454,8 @@ TEST(JitCrashConsistency, MissingSidecarQuarantinesAndRecompiles) {
 TEST(JitCrashConsistency, FailedCompileLeavesNoStrandedFiles) {
   EnvGuard cc_env("CORTEX_JIT_CC");
   EnvGuard dir_env("CORTEX_JIT_CACHE_DIR");
-  const std::string dir = fresh_dir();
+  const TempDir tmp = fresh_dir();
+  const std::string& dir = tmp.path();
   dir_env.set(dir);
   cc_env.set("/bin/false");
   const models::ModelDef def = models::make_treernn(16);

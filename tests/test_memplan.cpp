@@ -461,7 +461,7 @@ TEST(MemPlanParity, EngineAndPoolBitIdenticalAcrossPlannerModes) {
   }
   for (const int workers : {1, 4}) {
     EnginePool pool(def, params, ra::Schedule{}, spec,
-                    EnginePoolOptions{workers, 1, 1});
+                    EnginePoolOptions{workers});
     const runtime::RunResult r = pool.run(raw);
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ASSERT_FALSE(r.root_states.empty());

@@ -171,13 +171,13 @@ TEST(CompiledEltwise, EvaluatesPostfixProgram) {
                                  ra::load("b", {ra::var("i")})));
   CompiledEltwise ce(expr);
   EXPECT_EQ(ce.arith_ops(), 2);
+  ASSERT_EQ(ce.param_names(), std::vector<std::string>{"b"});
   const float in0[2] = {0.0f, 1.0f};
   const float bias[2] = {0.5f, -1.0f};
-  std::map<std::string, const float*> params{{"b", bias}};
-  EXPECT_NEAR(ce.eval(0, {in0}, params), kernels::tanh_rational(0.5f),
-              1e-6f);
-  EXPECT_NEAR(ce.eval(1, {in0}, params), kernels::tanh_rational(0.0f),
-              1e-6f);
+  const float* ins[1] = {in0};
+  const float* params[1] = {bias};  // param_names() order
+  EXPECT_NEAR(ce.eval(0, ins, params), kernels::tanh_rational(0.5f), 1e-6f);
+  EXPECT_NEAR(ce.eval(1, ins, params), kernels::tanh_rational(0.0f), 1e-6f);
 }
 
 TEST(CompiledEltwise, RejectsUnsupportedShapes) {

@@ -121,6 +121,19 @@ TEST(EngineEmptyBatch, EmptyLinearizationIsNotUB) {
   EXPECT_TRUE(r.root_states.empty());
   EXPECT_DOUBLE_EQ(r.profiler.linearization_ns, 123.0);
   EXPECT_EQ(r.profiler.kernel_launches, 0);
+
+  // Nodes the batches do not cover are an error, not silent zero states:
+  // the wavefront loop is the engine's only walk over the nodes.
+  auto trees = ds::make_sst_like_batch(2, rng);
+  linearizer::LinearizerSpec spec;
+  linearizer::Linearized lin =
+      linearizer::linearize_trees(baselines::raw(trees), spec);
+  lin.batch_begin.clear();
+  lin.batch_length.clear();
+  EXPECT_THROW(engine.run_linearized(lin, 0.0), Error);
+  lin = linearizer::linearize_trees(baselines::raw(trees), spec);
+  lin.batch_length.back() -= 1;
+  EXPECT_THROW(engine.run_linearized(lin, 0.0), Error);
 }
 
 TEST(EngineEmptyBatch, SingleNodeBatchRunsAtAnyThreadCount) {
